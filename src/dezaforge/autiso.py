@@ -31,7 +31,7 @@ from .gf3 import (
     mat_vec_mul,
     vector_to_index,
 )
-from .graphcore import Graph, is_automorphism
+from .graphcore import Graph, exact_matmul
 from .permgroup import Permutation, StabilizerChain, group_order
 
 VERTEX_CEILING = 1024
@@ -111,9 +111,9 @@ def _refine(
         return colours, 0
     ncol = int(colours.max()) + 1
     while True:
-        onehot = np.zeros((v, ncol), dtype=np.int64)
-        onehot[np.arange(v), colours] = 1
-        counts = adj @ onehot
+        onehot = np.zeros((v, ncol), dtype=bool)
+        onehot[np.arange(v), colours] = True
+        counts = exact_matmul(adj, onehot)
         pieces = [colours.reshape(-1, 1), counts]
         if a2 is not None:
             sizes = np.bincount(colours, minlength=ncol)
@@ -147,7 +147,7 @@ def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
     colours = _canonical_ids(
         np.asarray(list(colouring), dtype=np.int64).reshape(-1, 1)
     )
-    colours, _ = _refine(g.int_adjacency(), colours)
+    colours, _ = _refine(g.adjacency, colours)
     return [int(c) for c in colours]
 
 
@@ -160,15 +160,18 @@ def pair_invariant_colouring(g: Graph) -> list[int]:
     invariant separates, for example, the 27 reversal-fixed vertices of the
     switched graph from the other 216.
     """
-    v = g.v
-    if v == 0:
+    if g.v == 0:
         return []
-    adj = g.int_adjacency()
-    a2 = adj @ adj
+    adj = g.adjacency
+    return _pair_invariant_colours(adj, exact_matmul(adj, adj)).tolist()
+
+
+def _pair_invariant_colours(adj: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """pair_invariant_colouring from the adjacency matrix and A^2."""
     # encode the pair (adjacency bit, common-neighbour count) injectively
-    key = adj * (v + 1) + a2
+    key = adj * (adj.shape[0] + 1) + a2
     np.fill_diagonal(key, -1)
-    return [int(c) for c in _canonical_ids(np.sort(key, axis=1))]
+    return _canonical_ids(np.sort(key, axis=1))
 
 
 def _node_trace(colours: np.ndarray, ncol: int) -> tuple:
@@ -191,12 +194,13 @@ class _Search:
     def __init__(
         self,
         adj: np.ndarray,
+        a2: np.ndarray,
         node_budget: int,
         time_budget: float | None,
         seeds: list[Permutation],
     ) -> None:
         self.adj = adj
-        self.a2 = adj @ adj
+        self.a2 = a2
         self.v = adj.shape[0]
         self.node_budget = node_budget
         self.deadline = (
@@ -353,16 +357,18 @@ def automorphism_group(
             seed_list.append(s)
     if g.v == 0:
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
-    adj = g.int_adjacency()
-    colours = np.asarray(pair_invariant_colouring(g), dtype=np.int64)
-    search = _Search(adj, node_budget, time_budget, seed_list)
-    start, ncol = _refine(adj, colours, search.a2)
+    adj = g.adjacency
+    a2 = exact_matmul(adj, adj)
+    search = _Search(adj, a2, node_budget, time_budget, seed_list)
+    start, ncol = _refine(adj, _pair_invariant_colours(adj, a2), a2)
     search.run(start, ncol)
     generators = sorted(
         (Permutation(t) for t in search.found), key=lambda p: p.images
     )
     for p in generators:
-        assert is_automorphism(g, p)
+        witness = _automorphism_witness(g, p)
+        if witness is not None:
+            raise NotAnAutomorphismError(witness)
     order = search.chain.order() if search.chain is not None else 1
     return AutResult(
         order=order,

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .graphcore import Graph
+from .graphcore import Graph, exact_matmul
 
 
 class InvalidPairError(ValueError):
@@ -59,11 +59,17 @@ def diameter(g: Graph) -> int | None:
     return best
 
 
+def _square(g: Graph) -> np.ndarray:
+    """A^2, the exact common-neighbour count of every vertex pair."""
+    return exact_matmul(g.adjacency, g.adjacency)
+
+
 def triangle_count(g: Graph) -> int:
     """Number of triangles, as trace(A^3) / 6 in exact integers."""
-    a = g.int_adjacency()
-    cube_trace = int(np.einsum("ij,jk,ki->", a, a, a))
-    assert cube_trace % 6 == 0
+    # trace(A^3) = sum of A o A^2, at most v^3, so the int64 sum cannot wrap
+    cube_trace = int(_square(g)[g.adjacency].sum())
+    if cube_trace % 6:
+        raise ArithmeticError(f"trace(A^3) = {cube_trace} is not divisible by 6")
     return cube_trace // 6
 
 
@@ -109,10 +115,15 @@ class SrgCertificate:
 def certify_srg(g: Graph) -> SrgCertificate:
     """Check strong regularity via the exact matrix identity.
 
-    Verifies A^2 = k I + lambda A + mu (J - I - A) entrywise in int64
-    arithmetic, which is the same as exhaustive common-neighbour counting.
-    Requires 0 < k < v-1 so that both lambda and mu are witnessed.
+    Verifies A^2 = k I + lambda A + mu (J - I - A) entrywise in exact
+    integer arithmetic, which is the same as exhaustive common-neighbour
+    counting. Requires 0 < k < v-1 so that both lambda and mu are witnessed.
     """
+    return _certify_srg(g, None)
+
+
+def _certify_srg(g: Graph, n2: np.ndarray | None) -> SrgCertificate:
+    """certify_srg, reusing n2 = A^2 when the caller has already computed it."""
     cert = SrgCertificate(v=g.v)
     if g.v < 2:
         cert.failure = {"reason": "too few vertices"}
@@ -136,8 +147,8 @@ def certify_srg(g: Graph) -> SrgCertificate:
     if not 0 < k < g.v - 1:
         cert.failure = {"reason": f"degree {k} is degenerate (complete or empty)"}
         return cert
-    a = g.int_adjacency()
-    n2 = a @ a
+    if n2 is None:
+        n2 = _square(g)
     off = ~np.eye(g.v, dtype=bool)
     adj = g.adjacency
     lam_vals = np.unique(n2[adj])
@@ -155,12 +166,17 @@ def certify_srg(g: Graph) -> SrgCertificate:
     lam, mu = int(lam_vals[0]), int(mu_vals[0])
     cert.lam, cert.mu = lam, mu
     # the defining identity, checked exactly
+    a = g.int_adjacency()
     j = np.ones((g.v, g.v), dtype=np.int64)
     i = np.eye(g.v, dtype=np.int64)
     if not (n2 == k * i + lam * a + mu * (j - i - a)).all():
         cert.failure = {"reason": "matrix identity failed"}
         return cert
-    assert k * (k - lam - 1) == (g.v - k - 1) * mu, "feasibility identity"
+    if k * (k - lam - 1) != (g.v - k - 1) * mu:
+        cert.failure = {
+            "reason": "feasibility identity k(k-lambda-1) = (v-k-1)mu failed"
+        }
+        return cert
     cert.passed = True
     _fill_srg_spectrum(cert)
     return cert
@@ -247,17 +263,21 @@ def certify_deza(g: Graph) -> DezaCertificate:
     the diameter, and strictness (diameter 2 and not strongly regular).
     An SRG passes as a degenerate Deza graph with strict = False.
     """
+    return _certify_deza(g)[0]
+
+
+def _certify_deza(g: Graph) -> tuple[DezaCertificate, np.ndarray | None]:
+    """certify_deza, and A^2 when it was computed."""
     cert = DezaCertificate(v=g.v)
     if g.v < 2:
         cert.failure = {"reason": "too few vertices"}
-        return cert
+        return cert, None
     degs = g.adjacency.sum(axis=1)
     if not (degs == degs[0]).all():
         cert.failure = {"reason": "not regular"}
-        return cert
+        return cert, None
     cert.k = int(degs[0])
-    a_mat = g.int_adjacency()
-    n2 = a_mat @ a_mat
+    n2 = _square(g)
     off = ~np.eye(g.v, dtype=bool)
     values = np.unique(n2[off])
     if len(values) > 2:
@@ -265,7 +285,7 @@ def certify_deza(g: Graph) -> DezaCertificate:
             "reason": f"{len(values)} distinct common-neighbour counts",
             "witnesses": _pairs_with_values(n2, off, values[:3]),
         }
-        return cert
+        return cert, n2
     if len(values) == 2:
         a_val, b_val = int(values[0]), int(values[1])
     else:
@@ -276,8 +296,8 @@ def certify_deza(g: Graph) -> DezaCertificate:
     cert.beta_max = int(beta.max())
     cert.diameter = diameter(g)
     cert.passed = True
-    cert.strict = cert.diameter == 2 and not certify_srg(g).passed
-    return cert
+    cert.strict = cert.diameter == 2 and not _certify_srg(g, n2).passed
+    return cert, n2
 
 
 @dataclass
@@ -318,15 +338,13 @@ def certify_ddg(g: Graph) -> DdgCertificate:
     if that fails, the symmetric assignment with the value a is tried.
     """
     cert = DdgCertificate(v=g.v)
-    deza = certify_deza(g)
+    deza, n2 = _certify_deza(g)
     if not deza.passed:
         cert.failure = {
             "reason": "not a regular two-valued graph",
             "deza_failure": deza.failure,
         }
         return cert
-    a_mat = g.int_adjacency()
-    n2 = a_mat @ a_mat
     for inside in (deza.b, deza.a):
         outside = deza.a if inside == deza.b else deza.b
         result = _try_ddg_partition(g.v, n2, inside, outside)

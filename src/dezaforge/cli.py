@@ -77,7 +77,6 @@ def _emit(payload: Any, out: str | None) -> None:
 def _cmd_run(args: argparse.Namespace) -> tuple[Any, int]:
     config = PipelineConfig(
         deep=args.deep,
-        threads=args.threads,
         aut_node_budget=args.node_budget,
         aut_time_budget=args.time_budget,
     )
@@ -316,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="full pipeline, one JSON report")
     run.add_argument("--deep", action="store_true", help="also compute exact Aut orders")
-    run.add_argument("--threads", type=int, default=1, metavar="N")
     run.add_argument("--node-budget", type=int, default=2_000_000)
     run.add_argument("--time-budget", type=float, default=1800.0)
     _add_out(run)

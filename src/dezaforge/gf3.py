@@ -47,13 +47,16 @@ class GF3Matrix:
     __slots__ = ("_a",)
 
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
-        rows = [[int(c) for c in row] for row in entries]
-        if len({len(r) for r in rows}) > 1:
-            raise ShapeError("matrix entries must form a rectangle")
-        a = np.array(rows, dtype=np.int64)
+        if isinstance(entries, np.ndarray):
+            a = entries.astype(np.int64)
+        else:
+            rows = [[int(c) for c in row] for row in entries]
+            if len({len(r) for r in rows}) > 1:
+                raise ShapeError("matrix entries must form a rectangle")
+            a = np.array(rows, dtype=np.int64)
         if a.ndim != 2:
             raise ShapeError("matrix entries must form a rectangle")
-        if not np.isin(a, (0, 1, 2)).all():
+        if not ((a >= 0) & (a <= 2)).all():
             raise InvalidElementError("matrix entries must be residues in {0,1,2}")
         a.setflags(write=False)
         self._a = a

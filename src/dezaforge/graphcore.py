@@ -1,4 +1,5 @@
-"""The graph type and every graph construction in the pipeline.
+"""The graph type, every graph construction in the pipeline, and the exact
+integer matrix product that every certificate's arithmetic goes through.
 
 Graphs are dense, symmetric, loop-free bit matrices over an indexed vertex
 set. Adjacency is held as a read-only numpy boolean matrix with bitset rows
@@ -13,6 +14,10 @@ import numpy as np
 
 from . import gf3
 from .permgroup import Permutation, is_involution
+
+
+_FLOAT64_EXACT = 2**53
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class SwitchingInapplicableError(ValueError):
@@ -124,6 +129,64 @@ class Graph:
         return f"Graph(v={self.v}, edges={self.edge_count()}{name})"
 
 
+# ---------------------------------------------------------------------------
+# Exact integer products
+# ---------------------------------------------------------------------------
+
+
+def _abs_max(x: np.ndarray) -> int:
+    """Largest absolute entry as a Python int; np.abs would wrap int64 min."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _product_path(left: np.ndarray, right: np.ndarray) -> str:
+    """Arithmetic that computes left @ right exactly: float64, int64 or object.
+
+    Every partial sum of entry (i, k) is a sum of some of the terms
+    left[i, j] * right[j, k], so its absolute value is at most the absolute
+    row sum of left times the largest absolute entry of right. The bound is
+    formed in Python ints, so it cannot wrap. Below 2^53 every term, partial
+    sum and input entry that matters is an integer float64 holds exactly, in
+    whatever order BLAS adds (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
+    59 (2012)); up to the int64 maximum int64 cannot overflow.
+    """
+    if left.dtype == object or right.dtype == object:
+        return "object"
+    inner = left.shape[-1]
+    if left.dtype == bool and right.dtype == bool:
+        # every term is 0 or 1, so no pass over the data is needed
+        bound = inner
+    else:
+        left_max, right_max = _abs_max(left), _abs_max(right)
+        if left_max * inner <= _INT64_MAX:
+            # each absolute row sum is at most left_max * inner, so none wraps
+            rows = int(np.abs(left).sum(axis=-1, dtype=np.int64).max(initial=0))
+            bound = rows * right_max
+        else:
+            bound = left_max * inner * right_max
+    if bound < _FLOAT64_EXACT:
+        return "float64"
+    if bound <= _INT64_MAX:
+        return "int64"
+    return "object"
+
+
+def exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Exact product of integer (or boolean) arrays, int64 or object dtype.
+
+    Uses float64 BLAS when a bound proves the product exact there, int64
+    when it cannot overflow, and Python integers in object arrays otherwise.
+    """
+    path = _product_path(left, right)
+    if path == "float64":
+        lf = left.astype(np.float64)
+        rf = lf if right is left else right.astype(np.float64)
+        return (lf @ rf).astype(np.int64)
+    if path == "int64":
+        return left.astype(np.int64, copy=False) @ right.astype(np.int64, copy=False)
+    return left.astype(object) @ right.astype(object)
+
+
 def from_edges(v: int, edges: Iterable[tuple[int, int]], label: str = "") -> Graph:
     a = np.zeros((v, v), dtype=bool)
     for u, w in edges:
@@ -218,23 +281,6 @@ def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:
     }
 
 
-def _srg_parameters(g: Graph) -> tuple[int, int, int, int] | None:
-    """(v,k,lambda,mu) if g is strongly regular with 0 < k < v-1, else None."""
-    if g.v < 3 or not g.is_regular():
-        return None
-    k = g.degree()
-    if not 0 < k < g.v - 1:
-        return None
-    a = g.int_adjacency()
-    n2 = a @ a
-    off = ~np.eye(g.v, dtype=bool)
-    lam_vals = np.unique(n2[g.adjacency])
-    mu_vals = np.unique(n2[off & ~g.adjacency])
-    if len(lam_vals) != 1 or len(mu_vals) != 1:
-        return None
-    return g.v, k, int(lam_vals[0]), int(mu_vals[0])
-
-
 def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
     """Replace the adjacency matrix M by PM for the involution sigma.
 
@@ -267,9 +313,12 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
             f"sigma swaps {counts['adjacent_swaps']} adjacent pairs; "
             "only non-adjacent interchanges are allowed"
         )
-    params = _srg_parameters(g)
-    if params is not None:
-        _, k, lam, mu = params
+    # certify imports this module, so the import is deferred to the call
+    from .certify import certify_srg
+
+    srg = certify_srg(g)
+    if srg.passed:
+        k, lam, mu = srg.k, srg.lam, srg.mu
         if k == mu:
             raise SwitchingInapplicableError(
                 f"strongly regular input has k = mu = {k}"
@@ -335,29 +384,37 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(out)
 
 
+_GRAPH6_HEADER = ">>graph6<<"
+
+
 def from_graph6(text: str, label: str = "") -> Graph:
-    """Decode a graph6 line; raises Graph6ParseError with a byte offset."""
+    """Decode a graph6 line; raises Graph6ParseError with a byte offset.
+
+    The optional ">>graph6<<" header is accepted; offsets count from the
+    first byte of the stripped input, header included.
+    """
     s = text.strip()
-    if not s:
-        raise Graph6ParseError("empty graph6 input", 0)
-    pos = 0
-    if s[0] == "~":
-        if len(s) >= 2 and s[1] == "~":
-            raise Graph6ParseError("graph6 long form is not supported", 1)
-        if len(s) < 4:
+    start = len(_GRAPH6_HEADER) if s.startswith(_GRAPH6_HEADER) else 0
+    if len(s) == start:
+        raise Graph6ParseError("empty graph6 input", start)
+    pos = start
+    if s[pos] == "~":
+        if len(s) > pos + 1 and s[pos + 1] == "~":
+            raise Graph6ParseError("graph6 long form is not supported", pos + 1)
+        if len(s) < pos + 4:
             raise Graph6ParseError("truncated extended vertex count", len(s))
         v = 0
-        for pos in range(1, 4):
+        for pos in range(start + 1, start + 4):
             c = ord(s[pos]) - 63
             if not 0 <= c < 64:
                 raise Graph6ParseError(f"invalid sixbit byte {s[pos]!r}", pos)
             v = (v << 6) | c
-        pos = 4
+        pos = start + 4
     else:
-        v = ord(s[0]) - 63
+        v = ord(s[pos]) - 63
         if not 0 <= v <= 62:
-            raise Graph6ParseError(f"invalid vertex-count byte {s[0]!r}", 0)
-        pos = 1
+            raise Graph6ParseError(f"invalid vertex-count byte {s[pos]!r}", pos)
+        pos += 1
     nbits = v * (v - 1) // 2
     need = (nbits + 5) // 6
     if len(s) - pos != need:

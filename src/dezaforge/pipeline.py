@@ -75,7 +75,6 @@ class PipelineConfig:
     """
 
     deep: bool = False
-    threads: int = 1
     aut_node_budget: int = 2_000_000
     aut_time_budget: float | None = 1800.0
     s1_override: ConnectionSet | None = None
@@ -83,7 +82,6 @@ class PipelineConfig:
     def echo(self) -> dict[str, Any]:
         return {
             "deep": self.deep,
-            "threads": self.threads,
             "aut_node_budget": self.aut_node_budget,
             "aut_time_budget": self.aut_time_budget,
             "s1_override": (

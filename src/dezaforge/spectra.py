@@ -9,9 +9,9 @@ touches floating point:
     Vandermonde system built from exact power traces, so containment is
     sharpened to equality.
 
-int64 products are guarded by an a-priori bound on the next product's
-entries; if it could overflow, the computation falls back to Python integers
-via numpy object arrays.
+Every matrix product goes through graphcore.exact_matmul, which proves a
+bound on its partial sums in Python integers and picks float64 BLAS, int64
+or Python-integer object arrays accordingly.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .graphcore import Graph
+from .graphcore import Graph, exact_matmul
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InconsistentClaimError(ValueError):
@@ -81,16 +81,19 @@ class SpectrumClaim:
         }
 
 
-def _guarded_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Exact integer product; promotes to object dtype before int64 overflow."""
-    if left.dtype == object or right.dtype == object:
-        return left @ right
-    bound = int(np.abs(left).sum(axis=1).max(initial=0)) * int(
-        np.abs(right).max(initial=0)
-    )
-    if bound > _INT64_MAX:
-        return left.astype(object) @ right.astype(object)
-    return left @ right
+def _annihilator(a: np.ndarray, thetas: Sequence[int]) -> np.ndarray:
+    """The exact product of (A - theta I) over thetas, left to right.
+
+    a is the int64 adjacency matrix; its zero diagonal makes each factor a
+    copy of a with -theta on the diagonal, held in Python integers when
+    theta does not fit int64.
+    """
+    product = np.eye(a.shape[0], dtype=np.int64)
+    for index, theta in enumerate(thetas):
+        factor = a.copy() if abs(theta) <= _INT64_MAX else a.astype(object)
+        np.fill_diagonal(factor, -theta)
+        product = factor if index == 0 else exact_matmul(product, factor)
+    return product
 
 
 def annihilation_check(g: Graph, thetas: Sequence[int]) -> bool:
@@ -102,24 +105,36 @@ def annihilation_check(g: Graph, thetas: Sequence[int]) -> bool:
     ts = [int(t) for t in thetas]
     if len(set(ts)) != len(ts):
         raise InconsistentClaimError("eigenvalues must be pairwise distinct")
-    a = g.int_adjacency()
-    eye = np.eye(g.v, dtype=np.int64)
-    product = eye
-    for theta in ts:
-        product = _guarded_matmul(product, a - theta * eye)
-    return not np.any(product)
+    return not np.any(_annihilator(g.int_adjacency(), ts))
+
+
+def _entry_dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Sum of the entrywise product x o y, exactly."""
+    return int(exact_matmul(x.reshape(1, -1), y.reshape(-1, 1))[0, 0])
 
 
 def power_traces(g: Graph, t: int) -> list[int]:
-    """Exact traces of A^0 .. A^(t-1)."""
+    """Exact traces of A^0 .. A^(t-1).
+
+    A is symmetric with a zero diagonal, so the first five come from A and
+    A^2 alone: v, 0, sum A, sum A o A^2 and sum A^2 o A^2. Beyond those,
+    trace A^j = sum A^p o A^q with p = j // 2 and q = j - p, one product
+    for every second j.
+    """
     if t < 1:
         raise ValueError("need at least one moment")
-    a = g.int_adjacency()
-    traces = [g.v]
-    power = np.eye(g.v, dtype=np.int64)
-    for _ in range(1, t):
-        power = _guarded_matmul(power, a)
-        traces.append(int(np.trace(power)))
+    adj = g.adjacency
+    traces = [g.v, 0, int(adj.sum())][:t]
+    if t <= 3:
+        return traces
+    low = high = exact_matmul(adj, adj)
+    traces.append(_entry_dot(adj, high))
+    for j in range(4, t):
+        if j % 2:
+            high = exact_matmul(high, adj)
+        else:
+            low = high
+        traces.append(_entry_dot(low, high))
     return traces
 
 
@@ -276,32 +291,42 @@ def certify_spectrum(g: Graph, claim: SpectrumClaim) -> SpectrumCertificate:
 def discover_spectrum(g: Graph) -> SpectrumClaim:
     """Compute the exact integer spectrum of g, or fail loudly.
 
-    Accumulates integer roots of local minimal polynomials from successive
-    Krylov seeds until the collected set annihilates A, then solves the
-    moment system for the multiplicities. Raises InconsistentClaimError when
-    the spectrum is not an integer multiset; such graphs need an
-    irrational-capable method, which this tool does not carry.
+    Collects the integer roots of local minimal polynomials, one Krylov seed
+    e_i at a time, until the collected set annihilates A; then solves the
+    moment system for the multiplicities. After a failed annihilation the
+    next seed is a column the product did not annihilate, whose local
+    polynomial therefore has a root outside the set. The minimal polynomial
+    of a symmetric matrix has simple roots, and so does every local one,
+    which divides it: a local polynomial with fewer integer roots than its
+    degree proves that the spectrum is not an integer multiset. Raises
+    InconsistentClaimError then; such graphs need an irrational-capable
+    method, which this tool does not carry.
     """
     if g.v == 0:
         raise InconsistentClaimError("empty graph has no spectrum")
-    a = g.int_adjacency().astype(object)
+    a = g.int_adjacency()
     max_degree = max(int(d) for d in g.degree_sequence())
-    candidates: list[int] = []
-    for seed in range(min(g.v, 8)):
+    candidates: set[int] = set()
+    seed = 0
+    while True:
         poly = _local_minimal_polynomial(a, seed)
-        for root in _integer_roots(poly, max_degree):
-            if root not in candidates:
-                candidates.append(root)
-        candidates.sort(reverse=True)
-        if candidates and annihilation_check(g, candidates):
-            moments = power_traces(g, len(candidates))
-            mults = multiplicities_from_moments(candidates, moments, g.v)
-            pairs = [(t, m) for t, m in zip(candidates, mults) if m > 0]
-            return SpectrumClaim.from_pairs(pairs)
-    raise InconsistentClaimError(
-        "no integer eigenvalue set annihilates the adjacency matrix; "
-        "the spectrum is not integral"
-    )
+        roots = _integer_roots(poly, max_degree)
+        if len(roots) < len(poly) - 1:
+            raise InconsistentClaimError(
+                f"the local minimal polynomial at vertex {seed} has "
+                f"{len(poly) - 1 - len(roots)} non-integer roots; "
+                "the spectrum is not integral"
+            )
+        candidates.update(roots)
+        thetas = sorted(candidates, reverse=True)
+        residue = _annihilator(a, thetas)
+        missed = np.flatnonzero(residue.any(axis=0))
+        if missed.size == 0:
+            break
+        seed = int(missed[0])
+    moments = power_traces(g, len(thetas))
+    mults = multiplicities_from_moments(thetas, moments, g.v)
+    return SpectrumClaim.from_pairs(list(zip(thetas, mults)))
 
 
 def _local_minimal_polynomial(a: np.ndarray, seed: int) -> list[Fraction]:
@@ -312,7 +337,7 @@ def _local_minimal_polynomial(a: np.ndarray, seed: int) -> list[Fraction]:
     """
     v = a.shape[0]
     basis: list[tuple[list[Fraction], list[Fraction]]] = []
-    vec = np.zeros(v, dtype=object)
+    vec = np.zeros(v, dtype=np.int64)
     vec[seed] = 1
     power = 0
     while power <= v:
@@ -329,7 +354,7 @@ def _local_minimal_polynomial(a: np.ndarray, seed: int) -> list[Fraction]:
         if all(x == 0 for x in residual):
             return combo
         basis.append((residual, combo))
-        vec = a @ vec
+        vec = exact_matmul(a, vec)
         power += 1
     raise AssertionError("Krylov iteration exceeded the space dimension")
 

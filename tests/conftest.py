@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from dezaforge.catalog import build_graph
@@ -36,3 +42,23 @@ def petersen():
 @pytest.fixture(scope="session")
 def c5():
     return build_graph("c5")
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Run a Python snippet under `python -O`, where assert statements vanish."""
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        prelude = "import sys\nif not sys.flags.optimize:\n    sys.exit('not optimized')\n"
+        return subprocess.run(
+            [sys.executable, "-O", "-c", prelude + textwrap.dedent(script)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    return run

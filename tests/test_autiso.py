@@ -159,3 +159,22 @@ def test_find_linear_cayley_isomorphism_dimension_mismatch():
     s1 = connection_set_s1()
     with pytest.raises(ValueError):
         find_linear_cayley_isomorphism(s1, a)
+
+
+def test_generators_are_checked_under_optimization(run_optimized):
+    # a search that reports the transposition (0 1), not an automorphism
+    result = run_optimized("""
+        from dezaforge import autiso
+        from dezaforge.catalog import build_graph
+        run = autiso._Search.run
+        def run_and_err(self, colours, ncol):
+            run(self, colours, ncol)
+            self.found.append((1, 0, *range(2, 10)))
+        autiso._Search.run = run_and_err
+        try:
+            autiso.automorphism_group(build_graph("petersen"))
+        except autiso.NotAnAutomorphismError as exc:
+            print("raised", exc.witness)
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised")

@@ -162,3 +162,37 @@ def test_certify_ddg_rejects_petersen(petersen):
     cert = certify_ddg(petersen)
     assert not cert.passed
     assert cert.failure
+
+
+def test_srg_feasibility_is_checked_under_optimization(run_optimized):
+    # an A^2 that satisfies the SRG identity for lambda = mu = 1 on C5 but
+    # not the feasibility identity k(k-lambda-1) = (v-k-1)mu
+    result = run_optimized("""
+        import numpy as np
+        from dezaforge import certify
+        from dezaforge.catalog import build_graph
+        g = build_graph("c5")
+        a = g.int_adjacency()
+        i = np.eye(5, dtype=np.int64)
+        fake = 2 * i + a + (1 - i - a)
+        certify.exact_matmul = lambda left, right: fake
+        cert = certify.certify_srg(g)
+        print(cert.passed, cert.failure["reason"])
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("False feasibility identity")
+
+
+def test_triangle_parity_is_checked_under_optimization(run_optimized):
+    result = run_optimized("""
+        from dezaforge import certify
+        from dezaforge.catalog import build_graph
+        real = certify.exact_matmul
+        certify.exact_matmul = lambda left, right: real(left, right) + 1
+        try:
+            certify.triangle_count(build_graph("c5"))
+        except ArithmeticError as exc:
+            print("raised", exc)
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised trace(A^3) = 10")

@@ -39,6 +39,16 @@ def test_certify_srg_fail_exit_code(capsys):
     assert out["pass"] is False
 
 
+def test_certify_srg_reads_a_graph6_file_with_header(tmp_path, capsys):
+    nx = pytest.importorskip("networkx")
+    path = tmp_path / "petersen.g6"
+    nx.write_graph6(nx.petersen_graph(), str(path), header=True)
+    assert path.read_text().startswith(">>graph6<<")
+    assert main(["certify-srg", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["parameters"]["v"] == 10 and out["parameters"]["lambda"] == 0
+
+
 def test_certify_deza_and_ddg(capsys):
     assert main(["certify-deza", "delta"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dezaforge.catalog import (
     c5_reflection,
@@ -16,7 +18,9 @@ from dezaforge.graphcore import (
     cayley,
     classify_involution_pairs,
     complement,
+    _product_path,
     dual_seidel_switch,
+    exact_matmul,
     from_edge_list,
     from_edges,
     from_graph6,
@@ -192,3 +196,80 @@ def test_edge_list_parse_errors():
         from_edge_list("0 1 2")
     with pytest.raises(ValueError):
         from_edge_list("0 x")
+
+
+def _object_product(left, right):
+    return left.astype(object) @ right.astype(object)
+
+
+def test_exact_matmul_paths_at_the_thresholds():
+    one = np.array([[1]], dtype=np.int64)
+    below = np.array([[2**53 - 1]], dtype=np.int64)
+    at = np.array([[2**53]], dtype=np.int64)
+    int64_max = np.array([[2**63 - 1]], dtype=np.int64)
+    assert _product_path(below, one) == "float64"
+    assert _product_path(at, one) == "int64"
+    assert _product_path(int64_max, one) == "int64"
+    assert _product_path(int64_max, np.array([[2]], dtype=np.int64)) == "object"
+    # 2^53 + 1 is the first integer float64 cannot hold
+    left = np.array([[2**53, 1]], dtype=np.int64)
+    right = np.array([[1], [1]], dtype=np.int64)
+    assert _product_path(left, right) == "int64"
+    assert exact_matmul(left, right).tolist() == [[2**53 + 1]]
+    assert exact_matmul(below, one).tolist() == [[2**53 - 1]]
+
+
+def test_exact_matmul_bound_does_not_wrap():
+    # the absolute row sums, 1.2e19, exceed int64: the bound must not wrap
+    left = np.full((3, 3), 4 * 10**18, dtype=np.int64)
+    right = np.full((3, 3), 2, dtype=np.int64)
+    assert _product_path(left, right) == "object"
+    product = exact_matmul(left, right)
+    assert product.tolist() == [[24 * 10**18] * 3] * 3
+    # int64 min has no int64 absolute value
+    smallest = np.array([[-(2**63)]], dtype=np.int64)
+    assert _product_path(smallest, np.array([[1]], dtype=np.int64)) == "object"
+    assert exact_matmul(smallest, np.array([[-1]], dtype=np.int64)).tolist() == [[2**63]]
+
+
+def test_exact_matmul_dtypes(petersen):
+    adj = petersen.adjacency
+    a2 = exact_matmul(adj, adj)
+    assert a2.dtype == np.int64
+    assert (a2 == _object_product(adj.astype(np.int64), adj.astype(np.int64))).all()
+    vec = np.arange(10, dtype=np.int64)
+    assert exact_matmul(adj, vec).tolist() == _object_product(adj, vec).tolist()
+    big = np.full((10, 10), 2**62, dtype=object)
+    assert exact_matmul(big, adj).dtype == object
+
+
+@st.composite
+def _near_threshold(draw):
+    """Integer matrices whose product bound lands near 2^53, 2^63 or 2^64."""
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    target = draw(st.sampled_from([2**53, 2**63, 2**64]))
+    left_max = draw(st.integers(1, 2**40))
+    right_max = max(1, target // (left_max * inner)) + draw(st.integers(-2, 2))
+    right_max = min(2**63 - 1, max(1, right_max))
+
+    def matrix(shape, top):
+        entries = st.integers(-top, top) | st.sampled_from([-top, top])
+        size = shape[0] * shape[1]
+        flat = draw(st.lists(entries, min_size=size, max_size=size))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return matrix((rows, inner), left_max), matrix((inner, cols), right_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_threshold())
+def test_exact_matmul_equals_object_product(pair):
+    left, right = pair
+    assert exact_matmul(left, right).tolist() == _object_product(left, right).tolist()
+
+
+def test_from_graph6_accepts_header(petersen):
+    assert from_graph6(">>graph6<<" + to_graph6(petersen) + "\n") == petersen
+    with pytest.raises(Graph6ParseError) as info:
+        from_graph6(">>graph6<<")
+    assert info.value.offset == len(">>graph6<<")

@@ -139,11 +139,10 @@ def test_corrupted_s1_fails_with_witness():
 
 
 def test_config_echo_round_trip():
-    config = PipelineConfig(deep=True, threads=4, aut_node_budget=10, aut_time_budget=1.5)
+    config = PipelineConfig(deep=True, aut_node_budget=10, aut_time_budget=1.5)
     echo = config.echo()
     assert echo == {
         "deep": True,
-        "threads": 4,
         "aut_node_budget": 10,
         "aut_time_budget": 1.5,
         "s1_override": None,

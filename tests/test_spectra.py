@@ -90,6 +90,14 @@ def test_certify_fails_on_wrong_eigenvalues(petersen):
     assert cert.failure_stage == "annihilation"
 
 
+def test_certify_fails_on_an_eigenvalue_beyond_int64(petersen):
+    claim = SpectrumClaim.from_pairs(((10**20, 1), (1, 5), (-2, 4)))
+    cert = certify_spectrum(petersen, claim)
+    assert not cert.passed
+    assert cert.failure_stage == "annihilation"
+    assert annihilation_check(petersen, (10**20, 3, 1, -2))
+
+
 def test_certify_fails_on_wrong_multiplicities(petersen):
     cert = certify_spectrum(petersen, SpectrumClaim.from_pairs(((3, 1), (1, 4), (-2, 5))))
     assert not cert.passed
@@ -124,3 +132,27 @@ def test_discover_star_graph():
     # K_{1,4} has spectrum {2, 0^3, -2}
     star = from_edges(5, [(0, w) for w in range(1, 5)])
     assert discover_spectrum(star).pairs == ((2, 1), (0, 3), (-2, 1))
+
+
+def test_discover_isolated_vertices_then_triangle():
+    # seeds 0-7 are isolated vertices; only seed 8 sees the triangle's 2 and -1
+    g = from_edges(11, [(8, 9), (9, 10), (8, 10)])
+    assert discover_spectrum(g).pairs == ((2, 1), (0, 8), (-1, 2))
+
+
+def test_discover_rejects_paley_at_the_first_seed():
+    # P(13) has eigenvalues 6 and (-1 +- sqrt 13) / 2
+    squares = {x * x % 13 for x in range(1, 13)}
+    edges = [(u, w) for u in range(13) for w in range(u + 1, 13) if (w - u) % 13 in squares]
+    paley = from_edges(13, edges)
+    with pytest.raises(InconsistentClaimError, match="at vertex 0 has 2 non-integer roots"):
+        discover_spectrum(paley)
+
+
+def test_power_traces_beyond_the_fourth_power():
+    # tr A^j of K_n is (n-1)^j + (n-1)(-1)^j; from j = 20 on it exceeds int64
+    n = 40
+    kn = from_edges(n, [(u, w) for u in range(n) for w in range(u + 1, n)])
+    assert power_traces(kn, 30) == [(n - 1) ** j + (n - 1) * (-1) ** j for j in range(30)]
+    for t in range(1, 5):
+        assert power_traces(kn, t) == power_traces(kn, 30)[:t]
