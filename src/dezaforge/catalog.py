@@ -45,6 +45,9 @@ GRAPH_NAMES = (
     "c5",
 )
 
+# Known |Aut| of the named graphs, the order an automorphism search must reach.
+AUT_ORDERS = {"gamma": 3_849_120, "delta": 2592, "petersen": 120, "c5": 10}
+
 
 class UnknownGraphError(ValueError):
     def __init__(self, name: str) -> None:
@@ -86,7 +89,11 @@ def switching_matrix() -> GF3Matrix:
     ident = identity(5)
     for m in matrix_group():
         if m != ident and mat_mul(m, m) == ident:
-            assert fixed_space_dimension(m) == 3
+            fixed = fixed_space_dimension(m)
+            if fixed != 3:
+                raise ArithmeticError(
+                    f"switching involution fixes a space of dimension {fixed}, not 3"
+                )
             return m
     raise AssertionError("matrix group contains no involution")
 

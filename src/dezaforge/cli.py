@@ -15,13 +15,8 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .autiso import (
-    SearchBudgetError,
-    automorphism_group,
-    find_linear_cayley_isomorphism,
-    verify_subgroup,
-)
 from .catalog import (
+    AUT_ORDERS,
     GRAPH_NAMES,
     UnknownGraphError,
     build_graph,
@@ -29,7 +24,7 @@ from .catalog import (
     known_generators,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
-from .gf3 import connection_set_s1, mat_vec_mul
+from .gf3 import connection_set_s1
 from .golay import connection_set_S2
 from .graphcore import (
     Graph,
@@ -38,13 +33,19 @@ from .graphcore import (
     classify_involution_pairs,
     dual_seidel_switch,
     from_graph6,
-    is_automorphism,
     strong_product_K2,
     to_edge_list,
     to_graph6,
 )
-from .permgroup import is_involution
-from .pipeline import PipelineConfig, run_pipeline, _graph_summary
+from .pipeline import (
+    PipelineConfig,
+    aut_check,
+    golay_checks,
+    graph_summary,
+    involution_row,
+    linear_isomorphism,
+    run_pipeline,
+)
 from .spectra import InconsistentClaimError, SpectrumClaim, certify_spectrum, discover_spectrum
 
 CONNECTION_SETS = {"s1": connection_set_s1, "s2": connection_set_S2}
@@ -85,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_build(args: argparse.Namespace) -> tuple[Any, int]:
-    return _graph_summary(_load_graph(args.graph)), 0
+    return graph_summary(_load_graph(args.graph)), 0
 
 
 def _cmd_certify_srg(args: argparse.Namespace) -> tuple[Any, int]:
@@ -140,16 +141,9 @@ def _cmd_involutions(args: argparse.Namespace) -> tuple[Any, int]:
     rows = []
     ok = True
     for inv_name, perm in involutions_for(name).items():
-        row: dict[str, Any] = {
-            "involution": inv_name,
-            "is_automorphism": is_automorphism(g, perm),
-            "is_involution": is_involution(perm),
-        }
-        if row["is_automorphism"] and row["is_involution"]:
-            row.update(classify_involution_pairs(g, perm))
-        else:
-            ok = False
-        rows.append(row)
+        row, row_ok = involution_row(g, perm)
+        rows.append({"involution": inv_name, **row})
+        ok = ok and row_ok
     return {"type": "involutions", "graph": name, "rows": rows, "pass": ok}, (
         0 if ok else 1
     )
@@ -195,7 +189,7 @@ def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:
         "graph": name,
         "involution": inv_name,
         "classification": classify_involution_pairs(g, perm),
-        "result": _graph_summary(switched),
+        "result": graph_summary(switched),
         "pass": True,
     }
     return payload, 0
@@ -204,33 +198,20 @@ def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:
 def _cmd_product(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
     label = f"{g.label or 'graph'}-k2"
-    return _graph_summary(strong_product_K2(g, label=label)), 0
+    return graph_summary(strong_product_K2(g, label=label)), 0
 
 
 def _cmd_aut(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
-    seeds = known_generators(args.graph) if args.graph in GRAPH_NAMES else []
-    try:
-        result = automorphism_group(
-            g,
-            seeds=seeds or None,
-            node_budget=args.node_budget,
-            time_budget=args.time_budget,
-        )
-    except SearchBudgetError as exc:
-        lower = verify_subgroup(g, seeds) if seeds else exc.lower_bound
-        payload = {
-            "type": "aut",
-            "graph": g.label,
-            "lower_bound_only": True,
-            "lower_bound": max(lower, exc.lower_bound),
-            "nodes_searched": exc.nodes,
-            "pass": True,
-        }
-        return payload, 0
-    payload = result.to_json()
-    payload.update({"type": "aut", "graph": g.label, "lower_bound_only": False, "pass": True})
-    return payload, 0
+    payload, ok = aut_check(
+        g,
+        known_generators(args.graph) if args.graph in GRAPH_NAMES else [],
+        AUT_ORDERS.get(args.graph),
+        args.node_budget,
+        args.time_budget,
+    )
+    payload["pass"] = ok
+    return payload, 0 if ok else 1
 
 
 def _cmd_iso(args: argparse.Namespace) -> tuple[Any, int]:
@@ -241,46 +222,16 @@ def _cmd_iso(args: argparse.Namespace) -> tuple[Any, int]:
         raise UsageError(
             f"unknown connection set {exc.args[0]!r}; choose from s1, s2"
         ) from exc
-    matrix = find_linear_cayley_isomorphism(source, target)
-    if matrix is None:
-        return {"type": "iso", "found": False, "pass": False}, 1
-    verified = frozenset(mat_vec_mul(v, matrix) for v in source) == target.vectors
-    payload = {
-        "type": "iso",
-        "found": True,
-        "matrix": [list(matrix.row(i)) for i in range(matrix.rows)],
-        "verified": verified,
-        "pass": verified,
-    }
-    return payload, 0 if verified else 1
+    payload, ok = linear_isomorphism(source, target)
+    payload["type"] = "iso"
+    payload["pass"] = ok
+    return payload, 0 if ok else 1
 
 
 def _cmd_golay(args: argparse.Namespace) -> tuple[Any, int]:
-    from .golay import code_from_parity_check, coset_graph, pair_sums_cover, parity_check_H
-    from .graphcore import cayley
-
-    code = code_from_parity_check(parity_check_H())
-    s2 = connection_set_S2()
-    checks = {
-        "type": "golay",
-        "dimension": code.dimension,
-        "codewords": len(code),
-        "minimum_distance": code.minimum_distance(),
-        "signed_columns": len(s2),
-        "pair_sums_cover": pair_sums_cover(s2),
-        "coset_graph_matches_cayley": coset_graph(code)
-        == cayley(5, s2, label="golay-coset"),
-    }
-    ok = (
-        checks["dimension"] == 6
-        and checks["codewords"] == 729
-        and checks["minimum_distance"] == 5
-        and checks["signed_columns"] == 22
-        and checks["pair_sums_cover"]
-        and checks["coset_graph_matches_cayley"]
-    )
-    checks["pass"] = ok
-    return checks, 0 if ok else 1
+    payload, ok = golay_checks()
+    payload["pass"] = ok
+    return payload, 0 if ok else 1
 
 
 def _cmd_export(args: argparse.Namespace) -> tuple[Any, int]:

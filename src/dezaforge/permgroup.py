@@ -195,7 +195,6 @@ class StabilizerChain:
             self.base.append(moved)
             self.transversals.append({moved: self.identity})
             self._processed.append(set())
-        gid = len(self.strong_gens)
         self.strong_gens.append(residue)
         self.gen_level.append(level)
         self._complete_from(level)
@@ -259,7 +258,6 @@ class StabilizerChain:
                             self.base.append(moved)
                             self.transversals.append({moved: self.identity})
                             self._processed.append(set())
-                        gid2 = len(self.strong_gens)
                         self.strong_gens.append(residue)
                         self.gen_level.append(lvl)
                         restart = lvl

@@ -120,3 +120,16 @@ def test_negated_switching_is_the_composition():
 def test_involutions_for_unknown():
     with pytest.raises(UnknownGraphError):
         involutions_for("not-a-graph")
+
+
+def test_switching_matrix_fixed_space_is_checked_under_optimization(run_optimized):
+    result = run_optimized("""
+        from dezaforge import catalog
+        catalog.fixed_space_dimension = lambda m: 2
+        try:
+            catalog.switching_matrix()
+        except ArithmeticError as exc:
+            print("raised:", exc)
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised:")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dezaforge.cli import main
+from dezaforge.pipeline import PipelineConfig, run_pipeline
 
 
 def run_cli(*args):
@@ -133,6 +134,25 @@ def test_aut_budget_soft_pass(capsys):
     assert out["lower_bound"] == 2592
 
 
+@pytest.mark.parametrize("name, order", [("c5", 10), ("petersen", 120)])
+def test_aut_budget_stop_below_known_order_fails(name, order, capsys):
+    assert main(["aut", name, "--node-budget", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["lower_bound_only"] is True
+    assert out["lower_bound"] < order == out["expected_order"]
+    assert out["pass"] is False
+
+
+def test_aut_budget_stop_on_a_file_fails(tmp_path, capsys):
+    path = tmp_path / "petersen.g6"
+    assert main(["export", "petersen", "--format", "graph6", "--out", str(path)]) == 0
+    assert main(["aut", str(path), "--node-budget", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["lower_bound_only"] is True
+    assert out["expected_order"] is None
+    assert out["pass"] is False
+
+
 def test_iso(capsys):
     assert main(["iso", "s1", "s2"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -149,6 +169,33 @@ def test_golay(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["minimum_distance"] == 5
     assert out["coset_graph_matches_cayley"] is True
+
+
+@pytest.fixture(scope="module")
+def shallow_certificates():
+    return {s.name: s.certificate for s in run_pipeline(PipelineConfig()).stages}
+
+
+def without_labels(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k not in ("type", "graph", "pass")}
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["golay"], "golay-code"),
+        (["iso", "s1", "s2"], "linear-isomorphism"),
+        (["involutions", "gamma"], "involution-sweep"),
+    ],
+)
+def test_cli_payload_matches_pipeline_stage(argv, stage, shallow_certificates, capsys):
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cert = json.loads(json.dumps(shallow_certificates[stage]))
+    if stage == "involution-sweep":
+        # the sweep also holds the gamma-s2 reversal row, and names each row's graph
+        cert["rows"] = [without_labels(r) for r in cert["rows"] if r["graph"] == "gamma"]
+    assert without_labels(payload) == without_labels(cert)
 
 
 def test_export_formats(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from dezaforge.gf3 import GF3Matrix, rank
+from dezaforge.gf3 import ConnectionSet, GF3Matrix, rank
 from dezaforge.golay import (
     RankDeficientError,
     code_from_parity_check,
@@ -82,6 +82,40 @@ def test_coset_graph_equals_cayley(gamma_s2):
     code = code_from_parity_check(parity_check_H())
     assert coset_graph(code) == cayley(5, connection_set_S2())
     assert coset_graph(code) == gamma_s2
+
+
+def test_coset_graph_of_a_rescaled_parity_check():
+    # doubling a row of H leaves the code unchanged but changes its signed
+    # columns, so the coset graph is the Cayley graph on the new columns
+    rows = [list(parity_check_H().row(i)) for i in range(5)]
+    rows[0] = [(2 * x) % 3 for x in rows[0]]
+    h2 = GF3Matrix(rows)
+    columns = [tuple(h2.column(j)) for j in range(11)]
+    signed = ConnectionSet.from_vectors(
+        columns + [tuple((-x) % 3 for x in c) for c in columns]
+    )
+    assert coset_graph(code_from_parity_check(h2)) == cayley(5, signed)
+
+
+def test_code_enumeration_is_checked_under_optimization(run_optimized):
+    result = run_optimized("""
+        from dezaforge import golay
+        kernel_basis = golay.kernel_basis
+        h = golay.parity_check_H()
+        for broken in (
+            lambda m: kernel_basis(m)[:-1] + kernel_basis(m)[:1],  # dependent
+            lambda m: [(1,) + (0,) * 10] + kernel_basis(m)[1:],  # outside the kernel
+        ):
+            golay.kernel_basis = broken
+            try:
+                golay.code_from_parity_check(h)
+            except ArithmeticError as exc:
+                print("raised:", exc)
+    """)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("raised:") for line in lines)
+    assert "not 3^6" in lines[0] and "not in the kernel" in lines[1]
 
 
 def test_reversal_is_an_involutive_automorphism(gamma_s2):
