@@ -31,7 +31,7 @@ from .gf3 import (
     mat_vec_mul,
     vector_to_index,
 )
-from .graphcore import Graph, exact_matmul
+from .graphcore import Graph, automorphism_witness, exact_matmul
 from .permgroup import Permutation, StabilizerChain, group_order
 
 VERTEX_CEILING = 1024
@@ -193,15 +193,16 @@ class _Search:
 
     def __init__(
         self,
-        adj: np.ndarray,
+        g: Graph,
         a2: np.ndarray,
         node_budget: int,
         time_budget: float | None,
         seeds: list[Permutation],
     ) -> None:
-        self.adj = adj
+        self.g = g
+        self.adj = g.adjacency
         self.a2 = a2
-        self.v = adj.shape[0]
+        self.v = g.v
         self.node_budget = node_budget
         self.deadline = (
             time.monotonic() + time_budget if time_budget is not None else None
@@ -307,22 +308,21 @@ class _Search:
     def _leaf(self, colours: np.ndarray, diverged_at: int) -> int | None:
         mapping = np.empty(self.v, dtype=np.int64)
         mapping[colours] = np.arange(self.v)
-        if self.first_leaf is None:
+        if self.chain is None:
             self.first_leaf = mapping
             self.chain = StabilizerChain(self.v, base=self.first_path)
             for s in self.seeds:
                 if self.chain.add_generator(s.images):
                     self.found.append(s.images)
             return None
-        images_arr = np.empty(self.v, dtype=np.int64)
-        images_arr[self.first_leaf] = mapping
-        if (self.adj[np.ix_(images_arr, images_arr)] != self.adj).any():
+        images = np.empty(self.v, dtype=np.int64)
+        images[self.first_leaf] = mapping
+        perm = Permutation(images.tolist())
+        if automorphism_witness(self.g, perm) is not None:
             # refinement-equivalent leaf that is not an automorphism
             return None
-        images = tuple(int(x) for x in images_arr)
-        assert self.chain is not None
-        if self.chain.add_generator(images):
-            self.found.append(images)
+        if self.chain.add_generator(perm.images):
+            self.found.append(perm.images)
         # everything else under this branch is generated by what is already
         # known, so resume at the deepest first-path ancestor
         return diverged_at
@@ -333,7 +333,6 @@ def automorphism_group(
     seeds: Iterable[Permutation] | None = None,
     node_budget: int = 1_000_000,
     time_budget: float | None = None,
-    vertex_ceiling: int = VERTEX_CEILING,
 ) -> AutResult:
     """Generators and exact order of Aut(g) by individualization-refinement.
 
@@ -341,16 +340,17 @@ def automorphism_group(
     only prune the search, so the resulting order is seed-independent. A
     search exceeding node_budget nodes or time_budget seconds raises
     SearchBudgetError carrying the certified lower bound found so far.
+    Graphs above VERTEX_CEILING vertices are refused.
     """
-    if g.v > vertex_ceiling:
+    if g.v > VERTEX_CEILING:
         raise ValueError(
-            f"graph has {g.v} vertices, above the ceiling {vertex_ceiling}"
+            f"graph has {g.v} vertices, above the ceiling {VERTEX_CEILING}"
         )
     seed_list: list[Permutation] = []
     for s in seeds or []:
         if s.degree != g.v:
             raise ValueError("seed degree does not match the graph")
-        witness = _automorphism_witness(g, s)
+        witness = automorphism_witness(g, s)
         if witness is not None:
             raise NotAnAutomorphismError(witness)
         if not s.is_identity():
@@ -359,14 +359,14 @@ def automorphism_group(
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
     adj = g.adjacency
     a2 = exact_matmul(adj, adj)
-    search = _Search(adj, a2, node_budget, time_budget, seed_list)
+    search = _Search(g, a2, node_budget, time_budget, seed_list)
     start, ncol = _refine(adj, _pair_invariant_colours(adj, a2), a2)
     search.run(start, ncol)
     generators = sorted(
         (Permutation(t) for t in search.found), key=lambda p: p.images
     )
     for p in generators:
-        witness = _automorphism_witness(g, p)
+        witness = automorphism_witness(g, p)
         if witness is not None:
             raise NotAnAutomorphismError(witness)
     order = search.chain.order() if search.chain is not None else 1
@@ -399,18 +399,6 @@ def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:
     return count
 
 
-def _automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:
-    """None when sigma preserves adjacency, else a violated pair."""
-    if sigma.degree != g.v:
-        raise ValueError("permutation degree does not match the graph")
-    pa = np.asarray(sigma.images, dtype=np.int64)
-    moved = g.adjacency[np.ix_(pa, pa)] != g.adjacency
-    if not moved.any():
-        return None
-    u, w = np.argwhere(moved)[0]
-    return (int(u), int(w))
-
-
 def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
     """Exact order of the subgroup generated by verified automorphisms.
 
@@ -420,7 +408,7 @@ def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
     """
     checked = []
     for s in gens:
-        witness = _automorphism_witness(g, s)
+        witness = automorphism_witness(g, s)
         if witness is not None:
             raise NotAnAutomorphismError(witness)
         checked.append(s)

@@ -180,14 +180,14 @@ def build_graph(name: str) -> Graph:
         return cayley(5, connection_set_S2(), label="gamma-s2")
     if name == "delta":
         return dual_seidel_switch(
-            build_graph("gamma"), switching_involution()
-        ).relabel("delta")
+            build_graph("gamma"), switching_involution(), label="delta"
+        )
     if name == "gamma-k2":
         return strong_product_K2(build_graph("gamma"), label="gamma-k2")
     if name == "delta-k2":
         return dual_seidel_switch(
-            build_graph("gamma-k2"), lifted_switching_involution()
-        ).relabel("delta-k2")
+            build_graph("gamma-k2"), lifted_switching_involution(), label="delta-k2"
+        )
     if name == "petersen":
         pairs = sorted(itertools.combinations(range(5), 2))
         index = {p: i for i, p in enumerate(pairs)}

@@ -24,39 +24,28 @@ def common_neighbors(g: Graph, u: int, w: int) -> int:
     """Size of the intersection of the neighbourhoods of two distinct vertices."""
     if u == w:
         raise InvalidPairError("common neighbours need two distinct vertices")
-    rows = g.bitrows()
-    return (rows[u] & rows[w]).bit_count()
+    return int((g.adjacency[u] & g.adjacency[w]).sum())
 
 
 def diameter(g: Graph) -> int | None:
     """Largest eccentricity, or None when the graph is disconnected.
 
-    Breadth-first search from every vertex over bitset rows.
+    Breadth-first search from every vertex at once: row s of the frontier
+    holds the vertices first reached from s at the current distance, and
+    one boolean product with A advances every row by one level.
     """
     if g.v == 0:
         return None
-    rows = g.bitrows()
-    full = (1 << g.v) - 1
-    best = 0
-    for s in range(g.v):
-        reached = 1 << s
-        frontier = 1 << s
-        dist = 0
-        while reached != full:
-            nxt = 0
-            fr = frontier
-            while fr:
-                low = fr & -fr
-                nxt |= rows[low.bit_length() - 1]
-                fr ^= low
-            nxt &= ~reached
-            if not nxt:
-                return None
-            reached |= nxt
-            frontier = nxt
-            dist += 1
-        best = max(best, dist)
-    return best
+    reached = np.eye(g.v, dtype=bool)
+    frontier = reached
+    dist = 0
+    while not reached.all():
+        frontier = (exact_matmul(frontier, g.adjacency) > 0) & ~reached
+        if not frontier.any():
+            return None
+        reached = reached | frontier
+        dist += 1
+    return dist
 
 
 def _square(g: Graph) -> np.ndarray:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .catalog import (
     AUT_ORDERS,
@@ -89,18 +90,10 @@ def _cmd_build(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_summary(_load_graph(args.graph)), 0
 
 
-def _cmd_certify_srg(args: argparse.Namespace) -> tuple[Any, int]:
-    cert = certify_srg(_load_graph(args.graph))
-    return cert.to_json(), 0 if cert.passed else 1
-
-
-def _cmd_certify_deza(args: argparse.Namespace) -> tuple[Any, int]:
-    cert = certify_deza(_load_graph(args.graph))
-    return cert.to_json(), 0 if cert.passed else 1
-
-
-def _cmd_certify_ddg(args: argparse.Namespace) -> tuple[Any, int]:
-    cert = certify_ddg(_load_graph(args.graph))
+def _cmd_certify(
+    args: argparse.Namespace, certify: Callable[[Graph], Any]
+) -> tuple[Any, int]:
+    cert = certify(_load_graph(args.graph))
     return cert.to_json(), 0 if cert.passed else 1
 
 
@@ -174,7 +167,7 @@ def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:
     g = build_graph(name)
     inv_name, perm = _pick_involution(name, args.involution)
     try:
-        switched = dual_seidel_switch(g, perm).relabel(f"{name}-switched")
+        switched = dual_seidel_switch(g, perm, label=f"{name}-switched")
     except SwitchingInapplicableError as exc:
         payload = {
             "type": "switch",
@@ -276,15 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(build)
     build.set_defaults(handler=_cmd_build)
 
-    for cmd, handler in (
-        ("certify-srg", _cmd_certify_srg),
-        ("certify-deza", _cmd_certify_deza),
-        ("certify-ddg", _cmd_certify_ddg),
+    for cmd, certify in (
+        ("certify-srg", certify_srg),
+        ("certify-deza", certify_deza),
+        ("certify-ddg", certify_ddg),
     ):
         sub = subs.add_parser(cmd, help=f"{cmd.split('-')[1]} certificate")
         _add_graph_arg(sub)
         _add_out(sub)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=partial(_cmd_certify, certify=certify))
 
     spectrum = subs.add_parser("spectrum", help="certify a claimed spectrum or discover one")
     _add_graph_arg(spectrum)

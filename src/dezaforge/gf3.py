@@ -152,13 +152,16 @@ def mat_mul(a: GF3Matrix, b: GF3Matrix) -> GF3Matrix:
     return GF3Matrix(a.array @ b.array % 3)
 
 
-def rank(m: GF3Matrix) -> int:
-    """Rank over GF(3) by exact Gaussian elimination."""
-    a = m.array.copy() % 3
-    r = 0
+def _row_reduce(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a over GF(3), and its pivot columns."""
+    a = a % 3
     rows, cols = a.shape
+    pivots: list[int] = []
     for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, col] % 3), None)
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i, col]), None)
         if pivot is None:
             continue
         a[[r, pivot]] = a[[pivot, r]]
@@ -167,10 +170,13 @@ def rank(m: GF3Matrix) -> int:
         for i in range(rows):
             if i != r and a[i, col]:
                 a[i] = (a[i] - a[i, col] * a[r]) % 3
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(col)
+    return a, pivots
+
+
+def rank(m: GF3Matrix) -> int:
+    """Rank over GF(3) by exact Gaussian elimination."""
+    return len(_row_reduce(m.array)[1])
 
 
 def invert(m: GF3Matrix) -> GF3Matrix:
@@ -178,55 +184,32 @@ def invert(m: GF3Matrix) -> GF3Matrix:
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
     n = m.rows
-    aug = np.concatenate([m.array.copy(), np.eye(n, dtype=np.int64)], axis=1) % 3
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i, col] % 3), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(3)")
-        aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), -1, 3) % 3
-        for i in range(n):
-            if i != col and aug[i, col]:
-                aug[i] = (aug[i] - aug[i, col] * aug[col]) % 3
-    return GF3Matrix(aug[:, n:])
+    reduced, pivots = _row_reduce(
+        np.concatenate([m.array, np.eye(n, dtype=np.int64)], axis=1)
+    )
+    # [M | I] has rank n; M is invertible iff every pivot lies in M's columns
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular over GF(3)")
+    return GF3Matrix(reduced[:, n:])
 
 
 def fixed_space_dimension(m: GF3Matrix) -> int:
     """Dimension of the space of vectors fixed by v -> v*M.
 
-    Equals n - rank(M - I); the number of fixed vectors is 3 to this power.
+    The number of fixed vectors is 3 to this power.
     """
-    if m.rows != m.cols:
-        raise ShapeError("fixed space requires a square matrix")
-    diff = GF3Matrix((m.array - np.eye(m.rows, dtype=np.int64)) % 3)
-    return m.rows - rank(diff)
+    return len(fixed_space_basis(m))
 
 
 def kernel_basis(m: GF3Matrix) -> list[GFVector]:
     """Basis of the right kernel {v : M v = 0} over GF(3)."""
-    a = m.array.copy() % 3
-    rows_n, cols_n = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols_n):
-        pivot_row = next((i for i in range(r, rows_n) if a[i, c]), None)
-        if pivot_row is None:
-            continue
-        a[[r, pivot_row]] = a[[pivot_row, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, 3) % 3
-        for i in range(rows_n):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % 3
-        pivots.append(c)
-        r += 1
-        if r == rows_n:
-            break
+    reduced, pivots = _row_reduce(m.array)
     basis = []
-    for f in (c for c in range(cols_n) if c not in pivots):
-        vec = np.zeros(cols_n, dtype=np.int64)
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = np.zeros(m.cols, dtype=np.int64)
         vec[f] = 1
         for i, p in enumerate(pivots):
-            vec[p] = (-a[i, f]) % 3
+            vec[p] = (-reduced[i, f]) % 3
         basis.append(tuple(int(x) for x in vec))
     return basis
 

@@ -2,8 +2,7 @@
 integer matrix product that every certificate's arithmetic goes through.
 
 Graphs are dense, symmetric, loop-free bit matrices over an indexed vertex
-set. Adjacency is held as a read-only numpy boolean matrix with bitset rows
-(Python integers) cached for popcount-style kernels.
+set. Adjacency is held as a read-only numpy boolean matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..v-1."""
 
-    __slots__ = ("_adj", "_bitrows", "label")
+    __slots__ = ("_adj", "label")
 
     def __init__(self, adjacency: np.ndarray, label: str = "") -> None:
         a = np.asarray(adjacency, dtype=bool)
@@ -48,7 +47,6 @@ class Graph:
         a = a.copy()
         a.setflags(write=False)
         self._adj = a
-        self._bitrows: tuple[int, ...] | None = None
         self.label = label
 
     # -- basic queries -------------------------------------------------------
@@ -65,20 +63,6 @@ class Graph:
     def int_adjacency(self) -> np.ndarray:
         """Adjacency as a fresh int64 0/1 matrix for exact products."""
         return self._adj.astype(np.int64)
-
-    def bitrows(self) -> tuple[int, ...]:
-        """Row bitsets: bit w of row u is set iff u ~ w."""
-        if self._bitrows is None:
-            rows = []
-            # pack little-endian so bit w corresponds to vertex w
-            for u in range(self.v):
-                bits = np.flatnonzero(self._adj[u])
-                acc = 0
-                for w in bits:
-                    acc |= 1 << int(w)
-                rows.append(acc)
-            self._bitrows = tuple(rows)
-        return self._bitrows
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self._adj[u, w])
@@ -105,14 +89,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         us, ws = np.nonzero(np.triu(self._adj, 1))
         return list(zip(us.tolist(), ws.tolist()))
-
-    def relabel(self, label: str) -> "Graph":
-        """Same graph with a different provenance label; adjacency is shared."""
-        g = Graph.__new__(Graph)
-        g._adj = self._adj
-        g._bitrows = self._bitrows
-        g.label = label
-        return g
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -247,12 +223,24 @@ def strong_product_K2(g: Graph, label: str = "") -> Graph:
     return Graph(a, label)
 
 
-def is_automorphism(g: Graph, sigma: Permutation) -> bool:
-    """True iff sigma preserves adjacency, checked by a full matrix compare."""
+def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:
+    """None when sigma preserves adjacency, else the first pair it violates.
+
+    Checked by a full matrix compare of A with A permuted by sigma.
+    """
     if sigma.degree != g.v:
         raise ValueError(f"permutation degree {sigma.degree} != v = {g.v}")
     p = np.fromiter(sigma.images, dtype=np.int64, count=g.v)
-    return bool((g.adjacency[np.ix_(p, p)] == g.adjacency).all())
+    moved = g.adjacency[np.ix_(p, p)] != g.adjacency
+    if not moved.any():
+        return None
+    u, w = np.argwhere(moved)[0]
+    return int(u), int(w)
+
+
+def is_automorphism(g: Graph, sigma: Permutation) -> bool:
+    """True iff sigma preserves adjacency."""
+    return automorphism_witness(g, sigma) is None
 
 
 def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:

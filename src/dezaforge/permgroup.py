@@ -112,8 +112,6 @@ def translation_perm(t: Sequence[int]) -> Permutation:
 # Raw tuples are used internally instead of Permutation objects; the
 # construction is the hot path of the subgroup-order certificates.
 
-_Tuple = tuple
-
 
 def _t_compose(p: tuple, q: tuple) -> tuple:
     return tuple(q[i] for i in p)
@@ -190,6 +188,13 @@ class StabilizerChain:
         residue, level = self.sift(g)
         if residue == self.identity:
             return False
+        self._insert(residue, level)
+        self._complete()
+        return True
+
+    def _insert(self, residue: tuple, level: int) -> None:
+        """Append a strong generator that sifts to level, extending the base
+        by its smallest moved point when level is past the last base point."""
         if level == len(self.base):
             moved = next(i for i, img in enumerate(residue) if img != i)
             self.base.append(moved)
@@ -197,8 +202,6 @@ class StabilizerChain:
             self._processed.append(set())
         self.strong_gens.append(residue)
         self.gen_level.append(level)
-        self._complete_from(level)
-        return True
 
     def _extend_orbit(self, level: int) -> None:
         """Close the orbit of base[level] under the level's generators.
@@ -220,7 +223,7 @@ class StabilizerChain:
                     tr[img] = _t_compose(rep, g)
                     queue.append(img)
 
-    def _complete_from(self, start_level: int) -> None:
+    def _complete(self) -> None:
         """Process Schreier generators until every level is stable.
 
         Walks from the deepest level upward; a residue surfacing at a deeper
@@ -251,15 +254,7 @@ class StabilizerChain:
                     schreier = _t_compose(_t_compose(rep, g), _t_inverse(target))
                     residue, lvl = self.sift(schreier, level + 1)
                     if residue != self.identity:
-                        if lvl == len(self.base):
-                            moved = next(
-                                i for i, img in enumerate(residue) if img != i
-                            )
-                            self.base.append(moved)
-                            self.transversals.append({moved: self.identity})
-                            self._processed.append(set())
-                        self.strong_gens.append(residue)
-                        self.gen_level.append(lvl)
+                        self._insert(residue, lvl)
                         restart = lvl
                         break
                 if restart is not None:

@@ -23,9 +23,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .graphcore import Graph, exact_matmul
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
+from .graphcore import _INT64_MAX, Graph, exact_matmul
 
 
 class InconsistentClaimError(ValueError):
@@ -222,70 +220,43 @@ def certify_spectrum(g: Graph, claim: SpectrumClaim) -> SpectrumCertificate:
     spectrum completely. For regular graphs the second spectral moment is
     additionally compared against v*k independently of the solver.
     """
+    stage, annihilated, moments, detail = _first_failure(g, claim)
+    return SpectrumCertificate(
+        eigenvalues=claim.eigenvalues,
+        multiplicities=claim.multiplicities,
+        annihilation=annihilated,
+        moments=moments,
+        passed=stage is None,
+        failure_stage=stage,
+        detail=detail,
+    )
+
+
+def _first_failure(
+    g: Graph, claim: SpectrumClaim
+) -> tuple[str | None, bool, list[int], dict[str, Any]]:
+    """(failing stage or None, annihilation, moments, detail) for the claim."""
     thetas = claim.eigenvalues
     if claim.total() != g.v:
-        return SpectrumCertificate(
-            eigenvalues=thetas,
-            multiplicities=claim.multiplicities,
-            annihilation=False,
-            moments=[],
-            passed=False,
-            failure_stage="claim",
-            detail={"reason": f"multiplicities sum to {claim.total()}, v = {g.v}"},
-        )
+        reason = f"multiplicities sum to {claim.total()}, v = {g.v}"
+        return "claim", False, [], {"reason": reason}
     annihilated = annihilation_check(g, thetas)
     moments = power_traces(g, len(thetas))
     if not annihilated:
-        return SpectrumCertificate(
-            eigenvalues=thetas,
-            multiplicities=claim.multiplicities,
-            annihilation=False,
-            moments=moments,
-            passed=False,
-            failure_stage="annihilation",
-        )
+        return "annihilation", False, moments, {}
     try:
         solved = multiplicities_from_moments(thetas, moments, g.v)
     except InconsistentClaimError as exc:
-        return SpectrumCertificate(
-            eigenvalues=thetas,
-            multiplicities=claim.multiplicities,
-            annihilation=True,
-            moments=moments,
-            passed=False,
-            failure_stage="moments",
-            detail={"reason": str(exc)},
-        )
+        return "moments", True, moments, {"reason": str(exc)}
     if solved != claim.multiplicities:
-        return SpectrumCertificate(
-            eigenvalues=thetas,
-            multiplicities=claim.multiplicities,
-            annihilation=True,
-            moments=moments,
-            passed=False,
-            failure_stage="moments",
-            detail={"solved_multiplicities": solved},
-        )
+        return "moments", True, moments, {"solved_multiplicities": solved}
     if g.is_regular():
-        k = g.degree()
+        expected = g.v * g.degree()
         second = sum(m * t * t for t, m in claim.pairs)
-        if second != g.v * k:
-            return SpectrumCertificate(
-                eigenvalues=thetas,
-                multiplicities=claim.multiplicities,
-                annihilation=True,
-                moments=moments,
-                passed=False,
-                failure_stage="regularity-moment",
-                detail={"second_moment": second, "expected": g.v * k},
-            )
-    return SpectrumCertificate(
-        eigenvalues=thetas,
-        multiplicities=claim.multiplicities,
-        annihilation=True,
-        moments=moments,
-        passed=True,
-    )
+        if second != expected:
+            detail = {"second_moment": second, "expected": expected}
+            return "regularity-moment", True, moments, detail
+    return None, True, moments, {}
 
 
 def discover_spectrum(g: Graph) -> SpectrumClaim:

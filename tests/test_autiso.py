@@ -10,7 +10,7 @@ from dezaforge.autiso import (
     refine,
     verify_subgroup,
 )
-from dezaforge.catalog import known_generators
+from dezaforge.catalog import AUT_ORDERS, build_graph, involutions_for, known_generators
 from dezaforge.gf3 import ConnectionSet, connection_set_s1, mat_vec_mul
 from dezaforge.golay import connection_set_S2
 from dezaforge.graphcore import from_edges
@@ -76,6 +76,25 @@ def test_automorphism_group_budget_exhaustion(petersen):
         automorphism_group(petersen, node_budget=1)
     assert info.value.lower_bound >= 1
     assert info.value.nodes >= 1
+
+
+@pytest.mark.parametrize("name", ["delta", "petersen"])
+def test_budget_stop_bound_covers_the_seeds(name):
+    # delta's catalogue seeds generate all 2592 automorphisms, so every stop
+    # must report 2592; petersen, seeded with one transposition, also stops
+    # after the first leaf, once the search's own chain exists
+    g = build_graph(name)
+    seeds = known_generators(name) or list(involutions_for(name).values())
+    seed_order = verify_subgroup(g, seeds)
+    finished = automorphism_group(g, seeds=seeds)
+    assert finished.order == AUT_ORDERS[name]
+    for budget in range(finished.nodes_searched + 1):
+        try:
+            result = automorphism_group(g, seeds=seeds, node_budget=budget)
+        except SearchBudgetError as exc:
+            assert exc.lower_bound >= seed_order
+        else:
+            assert result.order == AUT_ORDERS[name]
 
 
 def test_automorphism_group_vertex_ceiling():

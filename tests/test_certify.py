@@ -26,6 +26,12 @@ def test_diameter(petersen, c5):
     assert diameter(path) == 3
     disconnected = from_edges(4, [(0, 1), (2, 3)])
     assert diameter(disconnected) is None
+    assert diameter(from_edges(1, [])) == 0
+    k4 = from_edges(4, [(u, w) for u in range(4) for w in range(u + 1, 4)])
+    assert diameter(k4) == 1
+    assert diameter(from_edges(2, [])) is None
+    # eccentricity 1 at vertex 0, so the diameter comes from the other rows
+    assert diameter(from_edges(3, [(0, 1), (0, 2)])) == 2
 
 
 def test_triangle_count(petersen, c5, gamma):
