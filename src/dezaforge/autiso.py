@@ -213,7 +213,7 @@ class _Search:
         self.first_traces: list[tuple] = []
         self.first_leaf: np.ndarray | None = None
         self.chain: StabilizerChain | None = None
-        self.found: list[tuple] = []
+        self.found: list[np.ndarray] = []
 
     def run(self, colours: np.ndarray, ncol: int) -> None:
         self._dfs(colours, ncol, 0, True, -1)
@@ -229,11 +229,7 @@ class _Search:
         over_time = self.deadline is not None and time.monotonic() > self.deadline
         if over_nodes or over_time:
             raise SearchBudgetError(
-                self.nodes - 1,
-                self._lower_bound(),
-                sorted(
-                    (Permutation(t) for t in self.found), key=lambda p: p.images
-                ),
+                self.nodes - 1, self._lower_bound(), _sorted_perms(self.found)
             )
 
     def _dfs(
@@ -306,7 +302,7 @@ class _Search:
         return False
 
     def _leaf(self, colours: np.ndarray, diverged_at: int) -> int | None:
-        mapping = np.empty(self.v, dtype=np.int64)
+        mapping = np.empty(self.v, dtype=np.intp)
         mapping[colours] = np.arange(self.v)
         if self.chain is None:
             self.first_leaf = mapping
@@ -315,9 +311,9 @@ class _Search:
                 if self.chain.add_generator(s.images):
                     self.found.append(s.images)
             return None
-        images = np.empty(self.v, dtype=np.int64)
+        images = np.empty(self.v, dtype=np.intp)
         images[self.first_leaf] = mapping
-        perm = Permutation(images.tolist())
+        perm = Permutation(images)
         if automorphism_witness(self.g, perm) is not None:
             # refinement-equivalent leaf that is not an automorphism
             return None
@@ -362,9 +358,7 @@ def automorphism_group(
     search = _Search(g, a2, node_budget, time_budget, seed_list)
     start, ncol = _refine(adj, _pair_invariant_colours(adj, a2), a2)
     search.run(start, ncol)
-    generators = sorted(
-        (Permutation(t) for t in search.found), key=lambda p: p.images
-    )
+    generators = _sorted_perms(search.found)
     for p in generators:
         witness = automorphism_witness(g, p)
         if witness is not None:
@@ -376,6 +370,11 @@ def automorphism_group(
         orbit_count=_orbit_count(g.v, generators),
         nodes_searched=search.nodes,
     )
+
+
+def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
+    """Found generators as permutations, in lexicographic order of images."""
+    return sorted((Permutation(p) for p in found), key=lambda p: p.images.tolist())
 
 
 def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:

@@ -21,11 +21,9 @@ from .gf3 import (
     GF3Matrix,
     GFVector,
     all_vectors,
-    index_to_vector,
     indices_of,
     kernel_basis,
     rank,
-    vector_to_index,
 )
 from .graphcore import Graph
 from .permgroup import Permutation
@@ -189,11 +187,7 @@ def coset_graph(code: LinearCode) -> Graph:
 
 def reversal_perm(n: int = 5) -> Permutation:
     """Coordinate reversal (a,b,c,d,e) -> (e,d,c,b,a) on vertex indices."""
-    images = [
-        vector_to_index(tuple(reversed(index_to_vector(i, n))))
-        for i in range(3**n)
-    ]
-    return Permutation(images)
+    return Permutation(indices_of(all_vectors(n)[:, ::-1]))
 
 
 def reversal_difference_shapes(s2: ConnectionSet) -> Iterator[GFVector]:

@@ -230,7 +230,7 @@ def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None
     """
     if sigma.degree != g.v:
         raise ValueError(f"permutation degree {sigma.degree} != v = {g.v}")
-    p = np.fromiter(sigma.images, dtype=np.int64, count=g.v)
+    p = sigma.images
     moved = g.adjacency[np.ix_(p, p)] != g.adjacency
     if not moved.any():
         return None
@@ -243,6 +243,15 @@ def is_automorphism(g: Graph, sigma: Permutation) -> bool:
     return automorphism_witness(g, sigma) is None
 
 
+def _adjacent_swaps(g: Graph, sigma: Permutation) -> int:
+    """2-cycles {u, sigma(u)} of an involution whose endpoints are adjacent.
+
+    Each such pair is counted from both ends; fixed points add nothing,
+    since the graph is loop-free.
+    """
+    return int(g.adjacency[np.arange(g.v), sigma.images].sum()) // 2
+
+
 def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:
     """Counts of fixed points and 2-cycles of an involutive automorphism.
 
@@ -253,19 +262,12 @@ def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:
         raise ValueError("sigma is not an involution")
     if not is_automorphism(g, sigma):
         raise ValueError("sigma is not an automorphism of the graph")
-    fixed = adjacent = nonadjacent = 0
-    for u, img in enumerate(sigma.images):
-        if img == u:
-            fixed += 1
-        elif img > u:
-            if g.has_edge(u, img):
-                adjacent += 1
-            else:
-                nonadjacent += 1
+    fixed = len(sigma.fixed_points())
+    adjacent = _adjacent_swaps(g, sigma)
     return {
         "fixed": fixed,
         "adjacent_swaps": adjacent,
-        "nonadjacent_swaps": nonadjacent,
+        "nonadjacent_swaps": (g.v - fixed) // 2 - adjacent,
     }
 
 
@@ -295,10 +297,10 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
         raise SwitchingInapplicableError("sigma is not a non-identity involution")
     if not is_automorphism(g, sigma):
         raise SwitchingInapplicableError("sigma is not an automorphism")
-    counts = classify_involution_pairs(g, sigma)
-    if counts["adjacent_swaps"]:
+    adjacent = _adjacent_swaps(g, sigma)
+    if adjacent:
         raise SwitchingInapplicableError(
-            f"sigma swaps {counts['adjacent_swaps']} adjacent pairs; "
+            f"sigma swaps {adjacent} adjacent pairs; "
             "only non-adjacent interchanges are allowed"
         )
     # certify imports this module, so the import is deferred to the call
@@ -315,9 +317,7 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
             raise SwitchingInapplicableError(
                 f"strongly regular input has lambda = mu = {mu}"
             )
-    p = np.fromiter(sigma.images, dtype=np.int64, count=g.v)
-    switched = g.adjacency[p]
-    result = Graph(switched, label)
+    result = Graph(g.adjacency[sigma.images], label)
     # independent formulation: neighbourhoods are pulled back through sigma
     for u in range(g.v):
         expected = g.adjacency[sigma(u)]
@@ -334,11 +334,8 @@ def lift_involution_to_product(sigma: Permutation) -> Permutation:
     switching involution: on every fixed vertex of sigma it would swap the
     two adjacent clones.
     """
-    images = [0] * (2 * sigma.degree)
-    for u, img in enumerate(sigma.images):
-        images[2 * u] = 2 * img
-        images[2 * u + 1] = 2 * img + 1
-    return Permutation(images)
+    # row u holds the images of (u, 0) and (u, 1), at indices 2u and 2u + 1
+    return Permutation((2 * sigma.images[:, None] + np.arange(2)).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,44 +19,49 @@ class NotAPermutationError(ValueError):
 
 
 class Permutation:
-    """Bijection on [0, degree), stored as a tuple of images."""
+    """Bijection on [0, degree), stored as a read-only np.intp index array."""
 
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]) -> None:
-        t = tuple(int(i) for i in images)
-        n = len(t)
-        seen = bytearray(n)
-        for i in t:
-            if not 0 <= i < n or seen[i]:
-                raise NotAPermutationError("images are not a bijection on [0, v)")
-            seen[i] = 1
-        object.__setattr__(self, "images", t)
+        a = np.array(images, dtype=np.intp)
+        n = a.size
+        if (
+            a.ndim != 1
+            or not ((a >= 0) & (a < n)).all()
+            or (np.bincount(a, minlength=n) > 1).any()
+        ):
+            raise NotAPermutationError("images are not a bijection on [0, v)")
+        # the hash reads the bytes, so they must never change
+        a.setflags(write=False)
+        object.__setattr__(self, "images", a)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return self.images.size
 
     def __call__(self, i: int) -> int:
-        return self.images[i]
+        return int(self.images[i])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and np.array_equal(
+            self.images, other.images
+        )
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.images.tobytes())
 
     def __repr__(self) -> str:
         return f"Permutation(degree={self.degree})"
 
     def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images))
+        return bool((self.images == np.arange(self.degree)).all())
 
     def fixed_points(self) -> list[int]:
-        return [i for i, img in enumerate(self.images) if img == i]
+        return np.flatnonzero(self.images == np.arange(self.degree)).tolist()
 
     def to_json(self) -> list[int]:
-        return list(self.images)
+        return self.images.tolist()
 
 
 def identity_perm(degree: int) -> Permutation:
@@ -67,22 +72,18 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """Apply sigma first, then tau: result(i) = tau(sigma(i))."""
     if sigma.degree != tau.degree:
         raise NotAPermutationError("degree mismatch in compose")
-    t = tau.images
-    return Permutation([t[i] for i in sigma.images])
+    return Permutation(tau.images[sigma.images])
 
 
 def inverse(sigma: Permutation) -> Permutation:
-    out = [0] * sigma.degree
-    for i, img in enumerate(sigma.images):
-        out[img] = i
-    return Permutation(out)
+    return Permutation(_inverse(sigma.images))
 
 
 def is_involution(sigma: Permutation) -> bool:
     """True iff sigma is not the identity and sigma squared is."""
     imgs = sigma.images
-    return any(img != i for i, img in enumerate(imgs)) and all(
-        imgs[img] == i for i, img in enumerate(imgs)
+    return not sigma.is_identity() and bool(
+        (imgs[imgs] == np.arange(sigma.degree)).all()
     )
 
 
@@ -93,35 +94,27 @@ def perm_from_matrix(m: gf3.GF3Matrix) -> Permutation:
     if gf3.rank(m) != m.rows:
         raise NotAPermutationError("singular matrix does not permute the vectors")
     vv = gf3.all_vectors(m.rows)
-    images = gf3.indices_of(vv @ m.array % 3)
-    return Permutation(images.tolist())
+    return Permutation(gf3.indices_of(vv @ m.array % 3))
 
 
 def translation_perm(t: Sequence[int]) -> Permutation:
     """Permutation v -> v + t on the 3^n vertex indices."""
     vec = np.array(gf3._check_vector(t), dtype=np.int64)
     vv = gf3.all_vectors(len(vec))
-    images = gf3.indices_of((vv + vec) % 3)
-    return Permutation(images.tolist())
+    return Permutation(gf3.indices_of((vv + vec) % 3))
 
 
 # ---------------------------------------------------------------------------
 # Schreier-Sims stabilizer chain
 # ---------------------------------------------------------------------------
 #
-# Raw tuples are used internally instead of Permutation objects; the
-# construction is the hot path of the subgroup-order certificates.
+# Group elements are np.intp index arrays; q[p] applies p first, then q.
 
 
-def _t_compose(p: tuple, q: tuple) -> tuple:
-    return tuple(q[i] for i in p)
-
-
-def _t_inverse(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
+def _inverse(p: np.ndarray) -> np.ndarray:
+    out = np.empty_like(p)
+    out[p] = np.arange(p.size)
+    return out
 
 
 class StabilizerChain:
@@ -138,13 +131,13 @@ class StabilizerChain:
 
     def __init__(self, degree: int, base: Sequence[int] = ()) -> None:
         self.degree = degree
-        self.identity = tuple(range(degree))
+        self.identity = np.arange(degree)
         self.base: list[int] = []
         # strong generator i is stored once, at the deepest level it fixes
-        self.strong_gens: list[tuple] = []
+        self.strong_gens: list[np.ndarray] = []
         self.gen_level: list[int] = []
         # transversal[i]: point -> representative u with u[base[i]] = point
-        self.transversals: list[dict[int, tuple]] = []
+        self.transversals: list[dict[int, np.ndarray]] = []
         self._processed: list[set[tuple[int, int]]] = []
         for pt in base:
             if not 0 <= pt < degree or pt in self.base:
@@ -161,42 +154,42 @@ class StabilizerChain:
             o *= len(tr)
         return o
 
-    def gens_at_level(self, level: int) -> list[tuple]:
+    def gens_at_level(self, level: int) -> list[np.ndarray]:
         """Strong generators of the pointwise stabilizer of base[:level]."""
         return [
             g for g, lv in zip(self.strong_gens, self.gen_level) if lv >= level
         ]
 
-    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
+    def sift(self, g: Sequence[int], start: int = 0) -> tuple[np.ndarray, int]:
         """Divide g through the transversals; return (residue, drop level)."""
+        g = np.asarray(g, dtype=np.intp)
         for lvl in range(start, len(self.base)):
-            img = g[self.base[lvl]]
-            rep = self.transversals[lvl].get(img)
+            rep = self.transversals[lvl].get(int(g[self.base[lvl]]))
             if rep is None:
                 return g, lvl
-            g = _t_compose(g, _t_inverse(rep))
+            g = _inverse(rep)[g]
         return g, len(self.base)
 
-    def contains(self, g: tuple) -> bool:
+    def contains(self, g: Sequence[int]) -> bool:
         residue, _ = self.sift(g)
-        return residue == self.identity
+        return np.array_equal(residue, self.identity)
 
     # -- construction -------------------------------------------------------
 
-    def add_generator(self, g: tuple) -> bool:
+    def add_generator(self, g: Sequence[int]) -> bool:
         """Sift g and, if new, extend the chain. Returns True if the group grew."""
         residue, level = self.sift(g)
-        if residue == self.identity:
+        if np.array_equal(residue, self.identity):
             return False
         self._insert(residue, level)
         self._complete()
         return True
 
-    def _insert(self, residue: tuple, level: int) -> None:
+    def _insert(self, residue: np.ndarray, level: int) -> None:
         """Append a strong generator that sifts to level, extending the base
         by its smallest moved point when level is past the last base point."""
         if level == len(self.base):
-            moved = next(i for i, img in enumerate(residue) if img != i)
+            moved = int(np.flatnonzero(residue != self.identity)[0])
             self.base.append(moved)
             self.transversals.append({moved: self.identity})
             self._processed.append(set())
@@ -218,9 +211,9 @@ class StabilizerChain:
             head += 1
             rep = tr[pt]
             for g in gens:
-                img = g[pt]
+                img = int(g[pt])
                 if img not in tr:
-                    tr[img] = _t_compose(rep, g)
+                    tr[img] = g[rep]
                     queue.append(img)
 
     def _complete(self) -> None:
@@ -246,14 +239,13 @@ class StabilizerChain:
                     if key in processed:
                         continue
                     processed.add(key)
-                    target = tr.get(g[pt])
+                    target = tr.get(int(g[pt]))
                     if target is None:
                         # orbit grew mid-scan; redo this level
                         restart = level
                         break
-                    schreier = _t_compose(_t_compose(rep, g), _t_inverse(target))
-                    residue, lvl = self.sift(schreier, level + 1)
-                    if residue != self.identity:
+                    residue, lvl = self.sift(_inverse(target)[g[rep]], level + 1)
+                    if not np.array_equal(residue, self.identity):
                         self._insert(residue, lvl)
                         restart = lvl
                         break

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dezaforge import graphcore
 from dezaforge.catalog import (
     c5_reflection,
     lifted_switching_involution,
@@ -119,6 +122,43 @@ def test_dual_seidel_switch_requires_non_adjacent_swaps(c5):
     # the reflection swaps an adjacent pair, so switching is undefined
     with pytest.raises(SwitchingInapplicableError):
         dual_seidel_switch(c5, c5_reflection())
+
+
+def test_dual_seidel_switch_rejects_k_equal_to_mu():
+    # K3,3 is SRG(6, 3, 0, 3); (0 1) swaps two non-adjacent vertices of a side
+    k33 = from_edges(6, [(u, w) for u in range(3) for w in range(3, 6)])
+    with pytest.raises(SwitchingInapplicableError, match="k = mu = 3"):
+        dual_seidel_switch(k33, Permutation([1, 0, 2, 3, 4, 5]))
+
+
+def test_dual_seidel_switch_rejects_lambda_equal_to_mu():
+    # the 4x4 rook graph is SRG(16, 6, 2, 2); the transpose (i, j) -> (j, i)
+    # swaps only cells in different rows and columns
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    rook = from_edges(
+        16,
+        [
+            (4 * a + b, 4 * c + d)
+            for (a, b), (c, d) in itertools.combinations(cells, 2)
+            if a == c or b == d
+        ],
+    )
+    transpose = Permutation([4 * j + i for i, j in cells])
+    with pytest.raises(SwitchingInapplicableError, match="lambda = mu = 2"):
+        dual_seidel_switch(rook, transpose)
+
+
+def test_dual_seidel_switch_tests_the_automorphism_once(gamma, monkeypatch):
+    calls = []
+    witness = graphcore.automorphism_witness
+
+    def counted(g, sigma):
+        calls.append(sigma)
+        return witness(g, sigma)
+
+    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    dual_seidel_switch(gamma, switching_involution())
+    assert len(calls) == 1
 
 
 def test_dual_seidel_switch_fixed_vertices_keep_their_rows(gamma, delta):

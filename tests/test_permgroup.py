@@ -1,4 +1,9 @@
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, identity, negate, vector_to_index
 from dezaforge.permgroup import (
@@ -23,10 +28,26 @@ def test_permutation_validation():
         Permutation([0, 3, 1])
 
 
+def test_nested_images_are_rejected():
+    with pytest.raises(NotAPermutationError):
+        Permutation([[0, 1], [1, 0]])
+
+
+def test_images_are_a_read_only_copy():
+    source = np.array([1, 0, 2])
+    p = Permutation(source)
+    source[0] = 2
+    assert p(0) == 1
+    # the hash is taken over the images, so they must not change
+    with pytest.raises(ValueError):
+        p.images[0] = 2
+    assert p == Permutation([1, 0, 2]) and hash(p) == hash(Permutation([1, 0, 2]))
+
+
 def test_compose_applies_sigma_then_tau():
     sigma = Permutation([1, 2, 0])
     tau = Permutation([0, 2, 1])
-    assert compose(sigma, tau).images == tuple(tau(sigma(i)) for i in range(3))
+    assert compose(sigma, tau) == Permutation([tau(sigma(i)) for i in range(3)])
 
 
 def test_inverse_round_trip():
@@ -122,3 +143,34 @@ def test_negation_translation_interaction():
     t = translation_perm((0, 1, 0, 0, 0))
     conj = compose(compose(neg, t), neg)
     assert conj == inverse(t)
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.permutations(range(n)), max_size=3))
+
+
+def _closure(n, gens):
+    """Every product of the generators, by breadth-first search on tuples."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        products = {tuple(g[i] for i in p) for p in frontier for g in gens}
+        frontier = list(products - group)
+        group |= products
+    return group
+
+
+@settings(max_examples=50, deadline=None)
+@given(generator_sets())
+def test_chain_agrees_with_brute_force_closure(case):
+    n, gens = case
+    group = _closure(n, gens)
+    assert group_order([Permutation(g) for g in gens]) == len(group)
+    chain = StabilizerChain(n)
+    for g in gens:
+        chain.add_generator(g)
+    assert chain.order() == len(group)
+    for p in itertools.permutations(range(n)):
+        assert chain.contains(p) == (p in group)
