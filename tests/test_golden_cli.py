@@ -40,6 +40,12 @@ INVOCATIONS = [
     ["switch", "gamma"],
     ["iso", "s1", "s2"],
     ["spectrum", "delta"],
+    *(
+        ["export", name, "--format", "graph6"]
+        for name in ("gamma", "gamma-s2", "delta", "gamma-k2", "delta-k2", "petersen", "c5")
+    ),
+    ["export", "{tmp}/delta-relabelled.g6", "--format", "graph6"],
+    ["golay"],
 ]
 
 
