@@ -12,16 +12,16 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 from .gf3 import (
     GF3Matrix,
-    GFVector,
     M11_GEN_A,
     M11_GEN_B,
     connection_set_s1,
     fixed_space_basis,
     fixed_space_dimension,
     identity,
-    mat_mul,
     negate,
 )
 from .golay import connection_set_S2, reversal_perm
@@ -58,23 +58,26 @@ class UnknownGraphError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def matrix_group() -> tuple[GF3Matrix, ...]:
+def matrix_group() -> np.ndarray:
     """All 7920 matrices generated by the two embedded generators.
 
-    Breadth-first closure under right multiplication; returned sorted by
-    flattened entries so every downstream selection is deterministic.
+    A read-only (7920, 5, 5) int64 array, closed under right multiplication
+    one frontier at a time. np.unique on base-3 codes of the flattened
+    entries, first entry most significant, drops repeats and sorts by
+    flattened entries, so every downstream selection is deterministic.
     """
-    gens = (M11_GEN_A, M11_GEN_B)
-    seen = {identity(5)}
-    frontier = [identity(5)]
-    while frontier:
-        m = frontier.pop()
-        for g in gens:
-            nxt = mat_mul(m, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen, key=lambda m: tuple(m.array.reshape(-1))))
+    gens = np.stack([M11_GEN_A.array, M11_GEN_B.array])
+    weights = 3 ** np.arange(24, -1, -1, dtype=np.int64)
+    group = frontier = np.eye(5, dtype=np.int64)[None]
+    while len(frontier):
+        products = (frontier[:, None] @ gens % 3).reshape(-1, 5, 5)
+        merged = np.concatenate([group, products])
+        _, first = np.unique(merged.reshape(-1, 25) @ weights, return_index=True)
+        # the sorted group comes first in merged, so new matrices index past it
+        frontier = merged[first[first >= len(group)]]
+        group = merged[first]
+    group.setflags(write=False)
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -86,16 +89,19 @@ def switching_matrix() -> GF3Matrix:
     involution in sorted order serves as the switching involution. Its fixed
     space has dimension 3, i.e. 27 fixed vectors.
     """
-    ident = identity(5)
-    for m in matrix_group():
-        if m != ident and mat_mul(m, m) == ident:
-            fixed = fixed_space_dimension(m)
-            if fixed != 3:
-                raise ArithmeticError(
-                    f"switching involution fixes a space of dimension {fixed}, not 3"
-                )
-            return m
-    raise AssertionError("matrix group contains no involution")
+    group = matrix_group()
+    ident = np.eye(5, dtype=np.int64)
+    squares_to_one = (group @ group % 3 == ident).all(axis=(1, 2))
+    involutions = np.flatnonzero(squares_to_one & (group != ident).any(axis=(1, 2)))
+    if not involutions.size:
+        raise AssertionError("matrix group contains no involution")
+    m = GF3Matrix(group[involutions[0]])
+    fixed = fixed_space_dimension(m)
+    if fixed != 3:
+        raise ArithmeticError(
+            f"switching involution fixes a space of dimension {fixed}, not 3"
+        )
+    return m
 
 
 def switching_involution() -> Permutation:
@@ -117,18 +123,16 @@ def lifted_switching_involution() -> Permutation:
 @lru_cache(maxsize=None)
 def centralizer_pair() -> tuple[GF3Matrix, GF3Matrix]:
     """First matrix pair generating the full order-48 switching centralizer."""
-    x = switching_matrix()
-    cent = [m for m in matrix_group() if mat_mul(m, x) == mat_mul(x, m)]
+    x = switching_matrix().array
+    group = matrix_group()
+    commutes = (group @ x % 3 == x @ group % 3).all(axis=(1, 2))
+    cent = [GF3Matrix(m) for m in group[commutes]]
     perms = [perm_from_matrix(m) for m in cent]
     target = len(cent)
     for i, j in itertools.combinations(range(len(cent)), 2):
         if group_order([perms[i], perms[j]]) == target:
             return (cent[i], cent[j])
     raise AssertionError("centralizer is not generated by any matrix pair")
-
-
-def _standard_basis(n: int) -> list[GFVector]:
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
 
 def known_generators(name: str) -> list[Permutation]:
@@ -141,7 +145,7 @@ def known_generators(name: str) -> list[Permutation]:
     """
     if name == "gamma":
         return [
-            *(translation_perm(t) for t in _standard_basis(5)),
+            *(translation_perm(t) for t in np.eye(5, dtype=np.int64)),
             perm_from_matrix(M11_GEN_A),
             perm_from_matrix(M11_GEN_B),
             negation_involution(),

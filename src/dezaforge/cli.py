@@ -31,9 +31,9 @@ from .graphcore import (
     Graph,
     Graph6ParseError,
     SwitchingInapplicableError,
-    classify_involution_pairs,
     dual_seidel_switch,
     from_graph6,
+    involution_pair_counts,
     strong_product_K2,
     to_edge_list,
     to_graph6,
@@ -181,7 +181,7 @@ def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:
         "type": "switch",
         "graph": name,
         "involution": inv_name,
-        "classification": classify_involution_pairs(g, perm),
+        "classification": involution_pair_counts(g, perm),
         "result": graph_summary(switched),
         "pass": True,
     }

@@ -40,8 +40,7 @@ def _check_vector(v: Sequence[int]) -> GFVector:
 class GF3Matrix:
     """Immutable r x c matrix with entries in {0,1,2}.
 
-    Wraps a read-only numpy int array. Hashable, so matrices can be used as
-    set members when enumerating matrix groups.
+    Wraps a read-only numpy int array.
     """
 
     __slots__ = ("_a",)
@@ -87,9 +86,6 @@ class GF3Matrix:
             and bool((self._a == other._a).all())
         )
 
-    def __hash__(self) -> int:
-        return hash((self._a.shape, self._a.tobytes()))
-
     def __repr__(self) -> str:
         body = ", ".join(str(self.row(i)) for i in range(self.rows))
         return f"GF3Matrix([{body}])"
@@ -123,9 +119,8 @@ def index_to_vector(index: int, n: int) -> GFVector:
 @lru_cache(maxsize=8)
 def all_vectors(n: int) -> np.ndarray:
     """All 3^n vectors as a (3^n, n) array, row i = index_to_vector(i, n)."""
-    idx = np.arange(3**n)
-    cols = [(idx // 3**i) % 3 for i in range(n)]
-    a = np.stack(cols, axis=1).astype(np.int64)
+    powers = 3 ** np.arange(n, dtype=np.int64)
+    a = np.arange(3**n, dtype=np.int64)[:, None] // powers % 3
     a.setflags(write=False)
     return a
 

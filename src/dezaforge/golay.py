@@ -25,7 +25,7 @@ from .gf3 import (
     kernel_basis,
     rank,
 )
-from .graphcore import Graph
+from .graphcore import Graph, cayley
 from .permgroup import Permutation
 
 
@@ -100,22 +100,18 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     h_rank = rank(h)
     if h_rank != h.rows:
         raise RankDeficientError(h.rows, h_rank)
-    basis = kernel_basis(h)
+    basis = np.array(kernel_basis(h), dtype=np.int64).reshape(-1, h.cols)
     dim = len(basis)
-    words = []
-    arr = np.array(basis, dtype=np.int64) if basis else np.zeros((0, h.cols), np.int64)
-    for coeffs in itertools.product(range(3), repeat=dim):
-        word = np.zeros(h.cols, dtype=np.int64)
-        for c, b in zip(coeffs, arr):
-            word = (word + c * b) % 3
-        words.append(tuple(int(x) for x in word))
-    distinct = len(set(words))
+    words = all_vectors(dim) @ basis % 3
+    distinct = len(np.unique(words, axis=0))
     if distinct != 3**dim:
         raise ArithmeticError(f"kernel basis spans {distinct} words, not 3^{dim}")
-    for w in words:
-        if (h.array @ np.array(w, dtype=np.int64) % 3).any():
-            raise ArithmeticError(f"enumerated word {w} is not in the kernel of H")
-    return LinearCode(length=h.cols, parity_check=h, codewords=tuple(sorted(words)))
+    outside = np.flatnonzero((words @ h.array.T % 3).any(axis=1))
+    if outside.size:
+        w = tuple(words[outside[0]].tolist())
+        raise ArithmeticError(f"enumerated word {w} is not in the kernel of H")
+    words = sorted(map(tuple, words.tolist()))
+    return LinearCode(length=h.cols, parity_check=h, codewords=tuple(words))
 
 
 def connection_set_S2() -> ConnectionSet:
@@ -125,13 +121,8 @@ def connection_set_S2() -> ConnectionSet:
     that is a hard error rather than a certificate failure.
     """
     h = parity_check_H().array
-    vectors: list[GFVector] = []
-    for j in range(h.shape[1]):
-        col = tuple(int(x) for x in h[:, j])
-        neg = tuple((-x) % 3 for x in col)
-        vectors.append(col)
-        vectors.append(neg)
-    if len(set(vectors)) != 2 * h.shape[1]:
+    vectors = {tuple(v) for v in np.concatenate([h.T, -h.T % 3]).tolist()}
+    if len(vectors) != 2 * h.shape[1]:
         raise AssertionError("signed parity-check columns are not distinct")
     return ConnectionSet.from_vectors(vectors)
 
@@ -165,24 +156,9 @@ def coset_graph(code: LinearCode) -> Graph:
     Cayley graph on the signed columns of the code's parity check matrix.
     """
     h = code.parity_check
-    n = h.rows
-    weight_one = []
-    for j in range(code.length):
-        for c in (1, 2):
-            word = [0] * code.length
-            word[j] = c
-            weight_one.append(word)
-    syndromes = {
-        tuple(int(x) for x in (h.array @ np.array(w, dtype=np.int64)) % 3)
-        for w in weight_one
-    }
-    size = 3**n
-    adjacency = np.zeros((size, size), dtype=bool)
-    vectors = all_vectors(n)
-    for s in syndromes:
-        shifted = (vectors + np.array(s, dtype=np.int64)) % 3
-        adjacency[np.arange(size), indices_of(shifted)] = True
-    return Graph(adjacency, label="golay-coset")
+    eye = np.eye(code.length, dtype=np.int64)
+    syndromes = np.concatenate([eye, 2 * eye]) @ h.array.T % 3
+    return cayley(h.rows, ConnectionSet.from_vectors(syndromes), label="golay-coset")
 
 
 def reversal_perm(n: int = 5) -> Permutation:

@@ -7,7 +7,7 @@ set. Adjacency is held as a read-only numpy boolean matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -262,6 +262,11 @@ def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:
         raise ValueError("sigma is not an involution")
     if not is_automorphism(g, sigma):
         raise ValueError("sigma is not an automorphism of the graph")
+    return involution_pair_counts(g, sigma)
+
+
+def involution_pair_counts(g: Graph, sigma: Permutation) -> dict[str, int]:
+    """classify_involution_pairs without its checks, for a checked sigma."""
     fixed = len(sigma.fixed_points())
     adjacent = _adjacent_swaps(g, sigma)
     return {
@@ -343,6 +348,16 @@ def lift_involution_to_product(sigma: Permutation) -> Permutation:
 # ---------------------------------------------------------------------------
 
 
+# a sixbit character holds six adjacency bits, the first one most significant
+_SIXBIT_WEIGHTS = 1 << np.arange(5, -1, -1)
+
+
+def _graph6_bit_order(v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each graph6 bit: the upper triangle, column by column."""
+    cols, rows = np.tril_indices(v, -1)
+    return rows, cols
+
+
 def to_graph6(g: Graph) -> str:
     """Encode in graph6 format; the 4-byte extended header covers v > 62."""
     v = g.v
@@ -354,19 +369,10 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(((v >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
         )
-    bits = []
-    adj = g.adjacency
-    for col in range(1, v):
-        bits.extend(adj[row, col] for row in range(col))
-    out = []
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        val = 0
-        for b in chunk:
-            val = (val << 1) | int(b)
-        val <<= 6 - len(chunk)
-        out.append(chr(val + 63))
-    return head + "".join(out)
+    rows, cols = _graph6_bit_order(v)
+    bits = np.pad(g.adjacency[rows, cols], (0, -rows.size % 6))
+    sixes = bits.reshape(-1, 6) @ _SIXBIT_WEIGHTS + 63
+    return head + "".join(map(chr, sixes.tolist()))
 
 
 _GRAPH6_HEADER = ">>graph6<<"
@@ -407,21 +413,17 @@ def from_graph6(text: str, label: str = "") -> Graph:
             f"expected {need} payload bytes for {v} vertices, got {len(s) - pos}",
             pos,
         )
-    bits: list[int] = []
-    for i in range(need):
-        c = ord(s[pos + i]) - 63
-        if not 0 <= c < 64:
-            raise Graph6ParseError(f"invalid sixbit byte {s[pos + i]!r}", pos + i)
-        bits.extend((c >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    codes = np.fromiter(map(ord, s[pos:]), np.int64, need) - 63
+    bad = np.flatnonzero((codes < 0) | (codes >= 64))
+    if bad.size:
+        at = pos + int(bad[0])
+        raise Graph6ParseError(f"invalid sixbit byte {s[at]!r}", at)
+    bits = (codes[:, None] & _SIXBIT_WEIGHTS).astype(bool).reshape(-1)
+    if bits[nbits:].any():
         raise Graph6ParseError("nonzero padding bits", pos + need - 1)
     a = np.zeros((v, v), dtype=bool)
-    at = 0
-    for col in range(1, v):
-        for row in range(col):
-            if bits[at]:
-                a[row, col] = a[col, row] = True
-            at += 1
+    rows, cols = _graph6_bit_order(v)
+    a[rows, cols] = a[cols, rows] = bits[:nbits]
     return Graph(a, label)
 
 

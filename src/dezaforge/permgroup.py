@@ -36,6 +36,9 @@ class Permutation:
         a.setflags(write=False)
         object.__setattr__(self, "images", a)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
     @property
     def degree(self) -> int:
         return self.images.size

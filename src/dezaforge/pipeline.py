@@ -54,8 +54,8 @@ from .golay import (
 from .graphcore import (
     Graph,
     cayley,
-    classify_involution_pairs,
     dual_seidel_switch,
+    involution_pair_counts,
     is_automorphism,
     strong_product_K2,
 )
@@ -168,7 +168,7 @@ def involution_row(g: Graph, perm: Permutation) -> Check:
     }
     ok = row["is_automorphism"] and row["is_involution"]
     if ok:
-        row.update(classify_involution_pairs(g, perm))
+        row.update(involution_pair_counts(g, perm))
     return row, ok
 
 

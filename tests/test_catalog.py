@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dezaforge.catalog import (
@@ -16,9 +18,9 @@ from dezaforge.catalog import (
     switching_involution,
     switching_matrix,
 )
-from dezaforge.gf3 import fixed_space_dimension, mat_mul
+from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, fixed_space_dimension, identity, mat_mul
 from dezaforge.graphcore import classify_involution_pairs, is_automorphism
-from dezaforge.permgroup import group_order, is_involution
+from dezaforge.permgroup import group_order, is_involution, perm_from_matrix
 
 
 def test_build_graph_names():
@@ -48,13 +50,11 @@ def test_matrix_group_order():
     group = matrix_group()
     assert len(group) == 7920
     x = switching_matrix()
-    assert x in group
+    assert (group == x.array).all(axis=(1, 2)).any()
 
 
 def test_switching_matrix_is_involution_with_27_fixed_vectors():
     x = switching_matrix()
-    from dezaforge.gf3 import identity
-
     assert mat_mul(x, x) == identity(5)
     assert fixed_space_dimension(x) == 3  # 3^3 = 27 fixed vertices
 
@@ -133,3 +133,29 @@ def test_switching_matrix_fixed_space_is_checked_under_optimization(run_optimize
     """)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("raised:")
+
+
+def test_matrix_group_is_sorted_and_closed():
+    group = matrix_group()
+    flat = group.reshape(len(group), -1).tolist()
+    assert all(a < b for a, b in zip(flat, flat[1:]))
+    members = {m.tobytes() for m in group}
+    for gen in (M11_GEN_A, M11_GEN_B):
+        assert {m.tobytes() for m in group @ gen.array % 3} == members
+
+
+def test_group_selections_match_a_loop_over_the_group():
+    # reference: one matrix product at a time, in the group's sorted order
+    mats = [GF3Matrix(m) for m in matrix_group()]
+    ident = identity(5)
+    x = next(m for m in mats if m != ident and mat_mul(m, m) == ident)
+    assert x == switching_matrix()
+    cent = [m for m in mats if mat_mul(m, x) == mat_mul(x, m)]
+    assert len(cent) == 48
+    perms = [perm_from_matrix(m) for m in cent]
+    pair = next(
+        (cent[i], cent[j])
+        for i, j in itertools.combinations(range(len(cent)), 2)
+        if group_order([perms[i], perms[j]]) == len(cent)
+    )
+    assert pair == centralizer_pair()

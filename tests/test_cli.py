@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dezaforge import graphcore
 from dezaforge.cli import main
 from dezaforge.pipeline import PipelineConfig, run_pipeline
 
@@ -101,6 +102,20 @@ def test_switch_default_involution(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["involution"] == "switching"
     assert out["result"]["vertices"] == 243
+
+
+def test_switch_tests_the_automorphism_once(capsys, monkeypatch):
+    calls = []
+    witness = graphcore.automorphism_witness
+
+    def counted(g, sigma):
+        calls.append(sigma)
+        return witness(g, sigma)
+
+    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    assert main(["switch", "gamma"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_switch_inapplicable_involution(capsys):

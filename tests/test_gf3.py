@@ -151,3 +151,8 @@ def test_connection_set_s1_is_the_22_orbit():
     assert s1.vectors == orbit((M11_GEN_A, M11_GEN_B), (1, 0, 0, 0, 0))
     for v in s1:
         assert tuple((-x) % 3 for x in v) in s1.vectors
+
+
+def test_all_vectors_of_dimension_zero():
+    # V(0, 3) holds exactly one vector, the empty one
+    assert all_vectors(0).shape == (1, 0)

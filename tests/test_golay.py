@@ -136,3 +136,16 @@ def test_reversal_difference_shapes_is_empty():
     # no member of S2 has the palindromic-difference shape (a,b,0,-b,-a),
     # which is why the reversal swaps only non-adjacent vertices
     assert list(reversal_difference_shapes(connection_set_S2())) == []
+
+
+def test_code_of_an_invertible_parity_check_is_the_zero_word():
+    code = code_from_parity_check(GF3Matrix([[1, 0], [0, 1]]))
+    assert code.codewords == ((0, 0),)
+    assert code.dimension == 0
+
+
+def test_coset_graph_rejects_a_zero_column():
+    # a zero column makes a weight-one word a codeword, i.e. a loop
+    code = code_from_parity_check(GF3Matrix([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError):
+        coset_graph(code)

@@ -223,6 +223,12 @@ def test_graph6_parse_errors():
         from_graph6("B")  # truncated edge bits
     with pytest.raises(Graph6ParseError):
         from_graph6("B" + chr(30))  # byte below printable range
+    # code points above Latin-1, a lone surrogate among them, are sixbit errors
+    for text in ("C" + "\u0100", "C" + "\ud800"):
+        with pytest.raises(Graph6ParseError) as info:
+            from_graph6(text)
+        assert str(info.value) == f"invalid sixbit byte {text[1]!r} (byte offset 1)"
+        assert info.value.offset == 1
 
 
 def test_edge_list_round_trip(petersen):
@@ -313,3 +319,23 @@ def test_from_graph6_accepts_header(petersen):
     with pytest.raises(Graph6ParseError) as info:
         from_graph6(">>graph6<<")
     assert info.value.offset == len(">>graph6<<")
+
+
+@st.composite
+def _random_graphs(draw):
+    """Random graphs on 0..70 vertices, across the 62/63 header switch, or 258."""
+    v = draw(st.integers(0, 70) | st.just(258))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((v, v)) < density, 1)
+    return Graph(upper | upper.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_graphs())
+def test_graph6_round_trip_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    text = to_graph6(g)
+    assert from_graph6(text) == g
+    oracle = nx.to_graph6_bytes(nx.from_numpy_array(g.int_adjacency()), header=False)
+    assert text == oracle.decode("ascii").rstrip("\n")

@@ -174,3 +174,12 @@ def test_chain_agrees_with_brute_force_closure(case):
     assert chain.order() == len(group)
     for p in itertools.permutations(range(n)):
         assert chain.contains(p) == (p in group)
+
+
+def test_permutation_images_cannot_be_rebound():
+    p = Permutation([1, 0, 2])
+    before = hash(p)
+    with pytest.raises(AttributeError):
+        p.images = np.array([0, 1, 2])
+    assert hash(p) == before
+    assert p.to_json() == [1, 0, 2]

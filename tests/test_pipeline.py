@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dezaforge import gf3
+from dezaforge import gf3, graphcore
+from dezaforge.catalog import switching_involution
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -10,6 +11,7 @@ from dezaforge.pipeline import (
     PipelineConfig,
     Report,
     SCHEMA,
+    involution_row,
     run_pipeline,
 )
 
@@ -147,3 +149,17 @@ def test_config_echo_round_trip():
         "aut_time_budget": 1.5,
         "s1_override": None,
     }
+
+
+def test_involution_row_tests_the_automorphism_once(gamma, monkeypatch):
+    calls = []
+    witness = graphcore.automorphism_witness
+
+    def counted(g, sigma):
+        calls.append(sigma)
+        return witness(g, sigma)
+
+    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    row, ok = involution_row(gamma, switching_involution())
+    assert ok and row["fixed"] == 27
+    assert len(calls) == 1
