@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dezaforge import graphcore
@@ -321,18 +321,23 @@ def test_from_graph6_accepts_header(petersen):
     assert info.value.offset == len(">>graph6<<")
 
 
-@st.composite
-def _random_graphs(draw):
-    """Random graphs on 0..70 vertices, across the 62/63 header switch, or 258."""
-    v = draw(st.integers(0, 70) | st.just(258))
-    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _random_graph(v, density, seed):
+    rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((v, v)) < density, 1)
     return Graph(upper | upper.T)
 
 
+# 0..70 vertices crosses the switch from the 1-byte to the 4-byte header
 @settings(max_examples=60, deadline=None)
-@given(_random_graphs())
+@given(
+    st.builds(
+        _random_graph,
+        st.integers(0, 70),
+        st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+@example(_random_graph(258, 0.5, 0))
 def test_graph6_round_trip_matches_networkx(g):
     nx = pytest.importorskip("networkx")
     text = to_graph6(g)
