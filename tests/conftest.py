@@ -6,7 +6,22 @@ from pathlib import Path
 
 import pytest
 
+from dezaforge import graphcore
 from dezaforge.catalog import build_graph
+
+
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """The permutations passed to graphcore.automorphism_witness, in order."""
+    calls = []
+    witness = graphcore.automorphism_witness
+
+    def counted(g, sigma):
+        calls.append(sigma)
+        return witness(g, sigma)
+
+    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,14 @@ from dezaforge.catalog import (
     switching_involution,
     switching_matrix,
 )
-from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, fixed_space_dimension, identity, mat_mul
+from dezaforge.gf3 import (
+    GF3Matrix,
+    M11_GEN_A,
+    M11_GEN_B,
+    fixed_space_dimension,
+    identity,
+    mat_mul,
+)
 from dezaforge.graphcore import classify_involution_pairs, is_automorphism
 from dezaforge.permgroup import group_order, is_involution, perm_from_matrix
 

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from dezaforge import graphcore
 from dezaforge.cli import main
 from dezaforge.pipeline import PipelineConfig, run_pipeline
 
@@ -104,18 +103,10 @@ def test_switch_default_involution(capsys):
     assert out["result"]["vertices"] == 243
 
 
-def test_switch_tests_the_automorphism_once(capsys, monkeypatch):
-    calls = []
-    witness = graphcore.automorphism_witness
-
-    def counted(g, sigma):
-        calls.append(sigma)
-        return witness(g, sigma)
-
-    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+def test_switch_tests_the_automorphism_once(capsys, witness_calls):
     assert main(["switch", "gamma"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(witness_calls) == 1
 
 
 def test_switch_inapplicable_involution(capsys):

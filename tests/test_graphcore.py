@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dezaforge import graphcore
 from dezaforge.catalog import (
     c5_reflection,
     lifted_switching_involution,
@@ -148,17 +147,9 @@ def test_dual_seidel_switch_rejects_lambda_equal_to_mu():
         dual_seidel_switch(rook, transpose)
 
 
-def test_dual_seidel_switch_tests_the_automorphism_once(gamma, monkeypatch):
-    calls = []
-    witness = graphcore.automorphism_witness
-
-    def counted(g, sigma):
-        calls.append(sigma)
-        return witness(g, sigma)
-
-    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+def test_dual_seidel_switch_tests_the_automorphism_once(gamma, witness_calls):
     dual_seidel_switch(gamma, switching_involution())
-    assert len(calls) == 1
+    assert len(witness_calls) == 1
 
 
 def test_dual_seidel_switch_fixed_vertices_keep_their_rows(gamma, delta):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dezaforge import gf3, graphcore
+from dezaforge import gf3
 from dezaforge.catalog import switching_involution
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
@@ -151,15 +151,7 @@ def test_config_echo_round_trip():
     }
 
 
-def test_involution_row_tests_the_automorphism_once(gamma, monkeypatch):
-    calls = []
-    witness = graphcore.automorphism_witness
-
-    def counted(g, sigma):
-        calls.append(sigma)
-        return witness(g, sigma)
-
-    monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+def test_involution_row_tests_the_automorphism_once(gamma, witness_calls):
     row, ok = involution_row(gamma, switching_involution())
     assert ok and row["fixed"] == 27
-    assert len(calls) == 1
+    assert len(witness_calls) == 1
