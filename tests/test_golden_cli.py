@@ -24,12 +24,13 @@ from dezaforge.cli import main
 from dezaforge.graphcore import Graph, to_graph6
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-RELABELLED = ("delta", "petersen", "c5")
+RELABELLED = ("delta", "petersen", "c5", "gamma")
 
 INVOCATIONS = [
     ["run"],
     ["run", "--deep"],
     ["run", "--deep", "--node-budget", "1"],
+    ["run", "--deep", "--node-budget", "2"],
     *(
         ["aut", name, *budget]
         for name in ("gamma", "delta", "petersen", "c5")
