@@ -91,10 +91,19 @@ class AutResult:
         }
 
 
-def _canonical_ids(rows: np.ndarray) -> np.ndarray:
-    """Dense ids, lexicographic by row content; permutation-covariant."""
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return inverse.reshape(-1).astype(np.int64)
+def _canonical_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids, lexicographic by row content, and how many there are.
+
+    Permutation-covariant; the ids equal the inverse of
+    np.unique(rows, axis=0), at a fraction of its cost.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=np.int64)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(starts.sum())
 
 
 def _refine(
@@ -124,12 +133,10 @@ def _refine(
                     np.searchsorted(colours[order], singleton_ids)
                 ]
                 pieces.append(a2[:, singleton_verts])
-        rows = np.column_stack(pieces)
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        colours = inverse.reshape(-1).astype(np.int64)
-        if len(uniq) == ncol:
+        colours, distinct = _canonical_ids(np.column_stack(pieces))
+        if distinct == ncol:
             return colours, ncol
-        ncol = len(uniq)
+        ncol = distinct
 
 
 def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
@@ -144,7 +151,7 @@ def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
         raise ValueError("colouring length must equal the vertex count")
     if g.v == 0:
         return []
-    colours = _canonical_ids(
+    colours, _ = _canonical_ids(
         np.asarray(list(colouring), dtype=np.int64).reshape(-1, 1)
     )
     colours, _ = _refine(g.adjacency, colours)
@@ -171,7 +178,7 @@ def _pair_invariant_colours(adj: np.ndarray, a2: np.ndarray) -> np.ndarray:
     # encode the pair (adjacency bit, common-neighbour count) injectively
     key = adj * (adj.shape[0] + 1) + a2
     np.fill_diagonal(key, -1)
-    return _canonical_ids(np.sort(key, axis=1))
+    return _canonical_ids(np.sort(key, axis=1))[0]
 
 
 def _node_trace(colours: np.ndarray, ncol: int) -> tuple:

@@ -382,9 +382,10 @@ def from_graph6(text: str, label: str = "") -> Graph:
     """Decode a graph6 line; raises Graph6ParseError with a byte offset.
 
     The optional ">>graph6<<" header is accepted; offsets count from the
-    first byte of the stripped input, header included.
+    first byte of the input stripped of ASCII space, tab, CR and LF, header
+    included. Any other byte at either end is part of the line.
     """
-    s = text.strip()
+    s = text.strip(" \t\r\n")
     start = len(_GRAPH6_HEADER) if s.startswith(_GRAPH6_HEADER) else 0
     if len(s) == start:
         raise Graph6ParseError("empty graph6 input", start)

@@ -4,6 +4,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dezaforge import graphcore
@@ -21,6 +22,20 @@ def witness_calls(monkeypatch):
         return witness(g, sigma)
 
     monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    return calls
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """The first argument of every numpy.unique call, in order."""
+    calls = []
+    unique = np.unique
+
+    def counted(ar, *args, **kwargs):
+        calls.append(ar)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
     return calls
 
 

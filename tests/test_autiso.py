@@ -1,5 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dezaforge import autiso
 from dezaforge.autiso import (
     NotAnAutomorphismError,
     SearchBudgetError,
@@ -11,6 +16,7 @@ from dezaforge.autiso import (
     verify_subgroup,
 )
 from dezaforge.catalog import AUT_ORDERS, build_graph, involutions_for, known_generators
+from dezaforge.certify import certify_ddg
 from dezaforge.gf3 import ConnectionSet, connection_set_s1, mat_vec_mul
 from dezaforge.golay import connection_set_S2
 from dezaforge.graphcore import from_edges
@@ -197,3 +203,32 @@ def test_generators_are_checked_under_optimization(run_optimized):
     """)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("raised")
+
+
+# few distinct values, so rows repeat; 2^53 and 2^53 + 1 collide as floats
+ENTRIES = st.sampled_from(
+    [-(2**63), -(2**53) - 1, -1, 0, 1, 2, 2**53, 2**53 + 1, 2**63 - 1]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda rows: st.integers(1, 6).flatmap(
+            lambda cols: arrays(np.int64, (rows, cols), elements=ENTRIES)
+        )
+    )
+)
+def test_canonical_ids_match_unique(rows):
+    ids, count = autiso._canonical_ids(rows)
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(ids, inverse.reshape(-1))
+    assert ids.dtype == np.int64
+    assert count == len(uniq)
+
+
+def test_search_and_certificates_do_not_call_unique(delta, delta_k2, unique_calls):
+    # np.unique was half of every refinement search; keep it off these paths
+    automorphism_group(delta)
+    certify_ddg(delta_k2)
+    assert len(unique_calls) == 0

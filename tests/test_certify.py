@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dezaforge import certify
 from dezaforge.catalog import petersen_transposition
 from dezaforge.certify import (
     certify_ddg,
@@ -9,7 +13,7 @@ from dezaforge.certify import (
     diameter,
     triangle_count,
 )
-from dezaforge.graphcore import complement, dual_seidel_switch, from_edges
+from dezaforge.graphcore import complement, dual_seidel_switch, exact_matmul, from_edges
 
 
 def test_common_neighbors(petersen):
@@ -94,6 +98,15 @@ def test_certify_srg_failure_has_witness_pairs(delta):
     assert pairs
     for p in pairs:
         assert common_neighbors(delta, p["u"], p["w"]) == p["common"]
+    # the first pair, row by row, for each of the two lowest counts
+    assert cert.failure["adjacent"] == [
+        {"u": 0, "w": 1, "common": 1},
+        {"u": 1, "w": 4, "common": 2},
+    ]
+    assert cert.failure["nonadjacent"] == [
+        {"u": 1, "w": 2, "common": 1},
+        {"u": 0, "w": 3, "common": 2},
+    ]
 
 
 def test_certify_deza_delta(delta):
@@ -145,6 +158,41 @@ def test_certify_deza_rejects_three_values():
     cert = certify_deza(prism)
     assert not cert.passed
     assert "3 distinct" in cert.failure["reason"]
+    assert cert.failure["witnesses"] == [
+        {"u": 0, "w": 3, "common": 0},
+        {"u": 0, "w": 1, "common": 1},
+        {"u": 0, "w": 4, "common": 2},
+    ]
+
+
+def test_certify_deza_witnesses_the_three_lowest_counts():
+    # circulant C9(1, 3): pairs share 0, 1, 2 or 3 common neighbours
+    edges = {tuple(sorted((i, (i + s) % 9))) for i in range(9) for s in (1, 3)}
+    cert = certify_deza(from_edges(9, sorted(edges)))
+    assert cert.failure["reason"] == "4 distinct common-neighbour counts"
+    assert cert.failure["witnesses"] == [
+        {"u": 0, "w": 1, "common": 0},
+        {"u": 0, "w": 3, "common": 1},
+        {"u": 0, "w": 4, "common": 2},
+    ]
+
+
+@st.composite
+def adjacency_matrices(draw):
+    v = draw(st.integers(2, 16))
+    bits = draw(st.lists(st.booleans(), min_size=v * (v - 1) // 2, max_size=v * (v - 1) // 2))
+    a = np.zeros((v, v), dtype=bool)
+    a[np.triu_indices(v, 1)] = bits
+    return a | a.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(adjacency_matrices())
+def test_distinct_counts_match_unique(a):
+    n2 = exact_matmul(a, a)
+    off = ~np.eye(len(a), dtype=bool)
+    for mask in (off, a, off & ~a):
+        assert np.array_equal(certify._distinct_counts(n2[mask]), np.unique(n2[mask]))
 
 
 def test_certify_ddg_gamma_k2(gamma_k2):

@@ -243,6 +243,14 @@ def test_malformed_graph6_is_parse_error(tmp_path):
     assert main(["build", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", ["C?\x1f", "C?\xa0"])
+def test_graph6_with_trailing_non_ascii_whitespace_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.g6"
+    path.write_text(text + "\n")
+    assert main(["build", str(path)]) == 2
+    assert "graph6 parse failure" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -212,14 +212,25 @@ def test_graph6_parse_errors():
         from_graph6("")
     with pytest.raises(Graph6ParseError):
         from_graph6("B")  # truncated edge bits
-    with pytest.raises(Graph6ParseError):
+    with pytest.raises(Graph6ParseError) as info:
         from_graph6("B" + chr(30))  # byte below printable range
+    assert str(info.value) == "invalid sixbit byte '\\x1e' (byte offset 1)"
+    assert info.value.offset == 1
     # code points above Latin-1, a lone surrogate among them, are sixbit errors
     for text in ("C" + "\u0100", "C" + "\ud800"):
         with pytest.raises(Graph6ParseError) as info:
             from_graph6(text)
         assert str(info.value) == f"invalid sixbit byte {text[1]!r} (byte offset 1)"
         assert info.value.offset == 1
+
+
+def test_graph6_strips_only_ascii_whitespace():
+    assert from_graph6(" \tC?\r\n").v == 4
+    # str.strip() would also drop these, leaving a valid "C?"
+    for text in ("C?\x1f", "C?\xa0"):
+        with pytest.raises(Graph6ParseError) as info:
+            from_graph6(text)
+        assert str(info.value) == "expected 1 payload bytes for 4 vertices, got 2 (byte offset 1)"
 
 
 def test_edge_list_round_trip(petersen):

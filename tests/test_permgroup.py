@@ -183,3 +183,12 @@ def test_permutation_images_cannot_be_rebound():
         p.images = np.array([0, 1, 2])
     assert hash(p) == before
     assert p.to_json() == [1, 0, 2]
+
+
+def test_permutation_images_cannot_be_deleted():
+    p = Permutation([1, 0, 2])
+    before = hash(p)
+    with pytest.raises(AttributeError):
+        del p.images
+    assert hash(p) == before
+    assert p.to_json() == [1, 0, 2]
