@@ -116,59 +116,11 @@ def translation_perm(t: Sequence[int]) -> Permutation:
 #
 # Group elements are np.intp index arrays; q[p] applies p first, then q.
 
-# Schreier generators are formed and sifted this many at a time, as one
-# (chunk, degree) array per step; pairs past the first that grows the chain
-# are wasted, so the chunk stays small.
-SCHREIER_CHUNK = 64
-
 
 def _inverse(p: np.ndarray) -> np.ndarray:
     out = np.empty_like(p)
     out[p] = np.arange(p.size)
     return out
-
-
-def _first_occurrences(values: np.ndarray) -> np.ndarray:
-    """Ascending positions of the first occurrence of each distinct value."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    return np.sort(order[first])
-
-
-class _Transversal:
-    """One level's coset representatives, each stored beside its inverse.
-
-    Row r holds the representative u with u[base point] = points[r] and its
-    inverse; row_of maps a point to its row, or -1 off the orbit. Rows are
-    only ever appended. done[r] is one past the last strong generator id
-    whose Schreier generator at points[r] has been sifted: the pairs are
-    processed point by point in increasing id order, so every eligible id
-    below done[r] has been.
-    """
-
-    __slots__ = ("points", "row_of", "reps", "invs", "done")
-
-    def __init__(self, degree: int, point: int) -> None:
-        self.points = np.array([point], dtype=np.intp)
-        self.row_of = np.full(degree, -1, dtype=np.intp)
-        self.row_of[point] = 0
-        self.reps = self.invs = np.arange(degree)[None, :]
-        self.done = np.zeros(1, dtype=np.intp)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def add(self, points: np.ndarray, reps: np.ndarray) -> None:
-        """Append the representatives reps[i] of the new points[i]."""
-        invs = np.empty_like(reps)
-        invs[np.arange(len(reps))[:, None], reps] = np.arange(reps.shape[1])
-        self.row_of[points] = np.arange(len(self.points), len(self.points) + len(points))
-        self.points = np.concatenate([self.points, points])
-        self.reps = np.concatenate([self.reps, reps])
-        self.invs = np.concatenate([self.invs, invs])
-        self.done = np.concatenate([self.done, np.zeros(len(points), dtype=np.intp)])
 
 
 class StabilizerChain:
@@ -190,12 +142,15 @@ class StabilizerChain:
         # strong generator i is stored once, at the deepest level it fixes
         self.strong_gens: list[np.ndarray] = []
         self.gen_level: list[int] = []
-        self.transversals: list[_Transversal] = []
+        # transversal[i]: point -> (u, u^-1) with u[base[i]] = point
+        self.transversals: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
+        self._processed: list[set[tuple[int, int]]] = []
         for pt in base:
             if not 0 <= pt < degree or pt in self.base:
                 raise ValueError("base points must be distinct and in range")
             self.base.append(pt)
-            self.transversals.append(_Transversal(degree, pt))
+            self.transversals.append({pt: (self.identity, self.identity)})
+            self._processed.append(set())
 
     # -- queries ------------------------------------------------------------
 
@@ -215,11 +170,10 @@ class StabilizerChain:
         """Divide g through the transversals; return (residue, drop level)."""
         g = np.asarray(g, dtype=np.intp)
         for lvl in range(start, len(self.base)):
-            tr = self.transversals[lvl]
-            row = tr.row_of[g[self.base[lvl]]]
-            if row < 0:
+            entry = self.transversals[lvl].get(int(g[self.base[lvl]]))
+            if entry is None:
                 return g, lvl
-            g = tr.invs[row][g]
+            g = entry[1][g]
         return g, len(self.base)
 
     def contains(self, g: Sequence[int]) -> bool:
@@ -243,105 +197,67 @@ class StabilizerChain:
         if level == len(self.base):
             moved = int(np.flatnonzero(residue != self.identity)[0])
             self.base.append(moved)
-            self.transversals.append(_Transversal(self.degree, moved))
+            self.transversals.append({moved: (self.identity, self.identity)})
+            self._processed.append(set())
         self.strong_gens.append(residue)
         self.gen_level.append(level)
 
-    def _level_gens(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the level's strong generators, ascending, and their images."""
-        ids = [i for i, lv in enumerate(self.gen_level) if lv >= level]
-        gens = np.array([self.strong_gens[i] for i in ids], dtype=np.intp)
-        return np.array(ids, dtype=np.intp), gens.reshape(len(ids), self.degree)
-
-    def _extend_orbit(self, level: int, gens: np.ndarray) -> None:
+    def _extend_orbit(self, level: int) -> None:
         """Close the orbit of base[level] under the level's generators.
 
-        Breadth first, one frontier at a time; new points are taken in the
-        order a point-by-point queue would meet them (point-major, generator
-        minor). Existing transversal entries are kept as-is: replacing them
-        would invalidate Schreier generators already processed against them.
+        Existing transversal entries are kept as-is: replacing them would
+        invalidate Schreier generators already processed against them.
         """
         tr = self.transversals[level]
-        ngens = len(gens)
-        frontier = np.arange(len(tr))
-        while ngens and frontier.size:
-            images = gens[:, tr.points[frontier]].T.reshape(-1)
-            fresh = np.flatnonzero(tr.row_of[images] < 0)
-            fresh = fresh[_first_occurrences(images[fresh])]
-            src, gid = np.divmod(fresh, ngens)
-            reps = tr.reps[frontier[src]]
-            start = len(tr)
-            tr.add(images[fresh], gens[gid[:, None], reps])
-            frontier = np.arange(start, len(tr))
+        gens = self.gens_at_level(level)
+        queue = list(tr.keys())
+        head = 0
+        while head < len(queue):
+            pt = queue[head]
+            head += 1
+            rep = tr[pt][0]
+            for g in gens:
+                img = int(g[pt])
+                if img not in tr:
+                    u = g[rep]
+                    tr[img] = (u, _inverse(u))
+                    queue.append(img)
 
     def _complete(self) -> None:
         """Process Schreier generators until every level is stable.
 
         Walks from the deepest level upward; a residue surfacing at a deeper
         level restarts the walk there. Processed (point, generator) pairs are
-        remembered, so revisiting a level only pays for new pairs.
+        memoized, so revisiting a level only pays for new pairs.
         """
         level = len(self.base) - 1
         while level >= 0:
-            ids, gens = self._level_gens(level)
-            self._extend_orbit(level, gens)
-            grown = self._schreier_level(level, ids, gens)
-            level = grown if grown is not None else level - 1
-
-    def _schreier_level(
-        self, level: int, ids: np.ndarray, gens: np.ndarray
-    ) -> int | None:
-        """Sift the level's unprocessed Schreier generators, point-major and
-        generator-minor, a chunk at a time. The first non-identity residue is
-        inserted as a strong generator and its level returned; the pairs
-        after it stay unprocessed. None when every residue is the identity.
-
-        The orbit is closed under gens, so every target below has a row.
-        """
-        tr = self.transversals[level]
-        n = self.degree
-        rows, cols = np.nonzero(ids[None, :] >= tr.done[:, None])
-        flat_gens, flat_invs = gens.reshape(-1), tr.invs.reshape(-1)
-        for start in range(0, len(rows), SCHREIER_CHUNK):
-            r = rows[start : start + SCHREIER_CHUNK]
-            c = cols[start : start + SCHREIER_CHUNK]
-            # u_{g(pt)}^-1 . g . u_pt, as q[p] composition
-            moved = flat_gens[(c * n)[:, None] + tr.reps[r]]
-            target = tr.row_of[flat_gens[c * n + tr.points[r]]]
-            schreier = flat_invs[(target * n)[:, None] + moved]
-            hit = self._sift_first(schreier, level + 1)
-            if hit is not None:
-                r, c = r[: hit[0] + 1], c[: hit[0] + 1]
-            last = np.append(r[1:] != r[:-1], True)
-            tr.done[r[last]] = ids[c[last]] + 1
-            if hit is not None:
-                self._insert(hit[1], hit[2])
-                return hit[2]
-        return None
-
-    def _sift_first(
-        self, elements: np.ndarray, start: int
-    ) -> tuple[int, np.ndarray, int] | None:
-        """Sift the rows of elements from level start on; return (row,
-        residue, drop level) for the first row whose residue is not the
-        identity, or None when every row sifts to the identity."""
-        n = self.degree
-        first = None
-        for lvl in range(start, len(self.base)):
-            tr = self.transversals[lvl]
-            rows = tr.row_of[elements[:, self.base[lvl]]]
-            missing = np.flatnonzero(rows < 0)
-            if missing.size:
-                # rows after the first drop can no longer come first
-                i = int(missing[0])
-                first = (i, elements[i].copy(), lvl)
-                elements, rows = elements[:i], rows[:i]
-            elements = tr.invs.reshape(-1)[(rows * n)[:, None] + elements]
-        moved = np.flatnonzero((elements != self.identity).any(axis=1))
-        if moved.size:
-            i = int(moved[0])
-            return i, elements[i].copy(), len(self.base)
-        return first
+            self._extend_orbit(level)
+            tr = self.transversals[level]
+            processed = self._processed[level]
+            gens = list(enumerate(self.strong_gens))
+            restart = None
+            for pt, (rep, _) in list(tr.items()):
+                for gid, g in gens:
+                    if self.gen_level[gid] < level:
+                        continue
+                    key = (pt, gid)
+                    if key in processed:
+                        continue
+                    processed.add(key)
+                    # the orbit is closed under the level's generators
+                    target_inv = tr[int(g[pt])][1]
+                    residue, lvl = self.sift(target_inv[g[rep]], level + 1)
+                    if not np.array_equal(residue, self.identity):
+                        self._insert(residue, lvl)
+                        restart = lvl
+                        break
+                if restart is not None:
+                    break
+            if restart is not None:
+                level = restart
+            else:
+                level -= 1
 
 
 def build_chain(generators: Iterable[Permutation]) -> StabilizerChain:

@@ -49,7 +49,7 @@ def cases() -> dict[str, tuple[list[Permutation], tuple[int, ...]]]:
 
 
 def _transversal_points(chain: StabilizerChain) -> list[list[int]]:
-    return [tr.points.tolist() for tr in chain.transversals]
+    return [list(tr) for tr in chain.transversals]
 
 
 def structure(gens: list[Permutation], base: tuple[int, ...]) -> dict:
