@@ -169,14 +169,13 @@ def pair_invariant_colouring(g: Graph) -> list[int]:
     """
     if g.v == 0:
         return []
-    adj = g.adjacency
-    return _pair_invariant_colours(adj, exact_matmul(adj, adj)).tolist()
+    return _pair_invariant_colours(g).tolist()
 
 
-def _pair_invariant_colours(adj: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """pair_invariant_colouring from the adjacency matrix and A^2."""
+def _pair_invariant_colours(g: Graph) -> np.ndarray:
+    """pair_invariant_colouring as an array, for a graph with vertices."""
     # encode the pair (adjacency bit, common-neighbour count) injectively
-    key = adj * (adj.shape[0] + 1) + a2
+    key = g.adjacency * (g.v + 1) + g.square()
     np.fill_diagonal(key, -1)
     return _canonical_ids(np.sort(key, axis=1))[0]
 
@@ -201,14 +200,13 @@ class _Search:
     def __init__(
         self,
         g: Graph,
-        a2: np.ndarray,
         node_budget: int,
         time_budget: float | None,
         seeds: list[Permutation],
     ) -> None:
         self.g = g
         self.adj = g.adjacency
-        self.a2 = a2
+        self.a2 = g.square()
         self.v = g.v
         self.node_budget = node_budget
         self.deadline = (
@@ -360,10 +358,8 @@ def automorphism_group(
             seed_list.append(s)
     if g.v == 0:
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
-    adj = g.adjacency
-    a2 = exact_matmul(adj, adj)
-    search = _Search(g, a2, node_budget, time_budget, seed_list)
-    start, ncol = _refine(adj, _pair_invariant_colours(adj, a2), a2)
+    search = _Search(g, node_budget, time_budget, seed_list)
+    start, ncol = _refine(search.adj, _pair_invariant_colours(g), search.a2)
     search.run(start, ncol)
     generators = _sorted_perms(search.found)
     for p in generators:

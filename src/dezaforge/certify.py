@@ -31,7 +31,8 @@ def diameter(g: Graph) -> int | None:
     """Largest eccentricity, or None when the graph is disconnected.
 
     Breadth-first search from every vertex at once: row s of the frontier
-    holds the vertices first reached from s at the current distance, and
+    holds the vertices first reached from s at the current distance. The
+    first two levels are read from A and A^2 > 0 (g.square()); past them,
     one boolean product with A advances every row by one level.
     """
     if g.v == 0:
@@ -40,7 +41,12 @@ def diameter(g: Graph) -> int | None:
     frontier = reached
     dist = 0
     while not reached.all():
-        frontier = (exact_matmul(frontier, g.adjacency) > 0) & ~reached
+        if dist < 2:
+            # I A = A and A A = A^2: both are already held by g
+            step = g.square() > 0 if dist else g.adjacency
+        else:
+            step = exact_matmul(frontier, g.adjacency) > 0
+        frontier = step & ~reached
         if not frontier.any():
             return None
         reached = reached | frontier
@@ -48,15 +54,10 @@ def diameter(g: Graph) -> int | None:
     return dist
 
 
-def _square(g: Graph) -> np.ndarray:
-    """A^2, the exact common-neighbour count of every vertex pair."""
-    return exact_matmul(g.adjacency, g.adjacency)
-
-
 def triangle_count(g: Graph) -> int:
     """Number of triangles, as trace(A^3) / 6 in exact integers."""
-    # trace(A^3) = sum of A o A^2, at most v^3, so the int64 sum cannot wrap
-    cube_trace = int(_square(g)[g.adjacency].sum())
+    # trace(A^3) = sum of A o A^2 <= v^3; numpy sums small unsigned ints in uint64
+    cube_trace = int(g.square()[g.adjacency].sum())
     if cube_trace % 6:
         raise ArithmeticError(f"trace(A^3) = {cube_trace} is not divisible by 6")
     return cube_trace // 6
@@ -104,15 +105,10 @@ class SrgCertificate:
 def certify_srg(g: Graph) -> SrgCertificate:
     """Check strong regularity via the exact matrix identity.
 
-    Verifies A^2 = k I + lambda A + mu (J - I - A) entrywise in exact
-    integer arithmetic, which is the same as exhaustive common-neighbour
-    counting. Requires 0 < k < v-1 so that both lambda and mu are witnessed.
+    Verifies g.square() = k I + lambda A + mu (J - I - A) entry by entry,
+    which is exhaustive common-neighbour counting. Requires 0 < k < v-1 so
+    that both lambda and mu are witnessed.
     """
-    return _certify_srg(g, None)
-
-
-def _certify_srg(g: Graph, n2: np.ndarray | None) -> SrgCertificate:
-    """certify_srg, reusing n2 = A^2 when the caller has already computed it."""
     cert = SrgCertificate(v=g.v)
     if g.v < 2:
         cert.failure = {"reason": "too few vertices"}
@@ -136,8 +132,7 @@ def _certify_srg(g: Graph, n2: np.ndarray | None) -> SrgCertificate:
     if not 0 < k < g.v - 1:
         cert.failure = {"reason": f"degree {k} is degenerate (complete or empty)"}
         return cert
-    if n2 is None:
-        n2 = _square(g)
+    n2 = g.square()
     off = ~np.eye(g.v, dtype=bool)
     adj = g.adjacency
     lam_vals = _distinct_counts(n2[adj])
@@ -154,11 +149,10 @@ def _certify_srg(g: Graph, n2: np.ndarray | None) -> SrgCertificate:
         return cert
     lam, mu = int(lam_vals[0]), int(mu_vals[0])
     cert.lam, cert.mu = lam, mu
-    # the defining identity, checked exactly
-    a = g.int_adjacency()
-    j = np.ones((g.v, g.v), dtype=np.int64)
-    i = np.eye(g.v, dtype=np.int64)
-    if not (n2 == k * i + lam * a + mu * (j - i - a)).all():
+    # the defining identity, checked exactly: lambda on edges, mu off them
+    expected = np.where(adj, n2.dtype.type(lam), n2.dtype.type(mu))
+    np.fill_diagonal(expected, k)
+    if not (n2 == expected).all():
         cert.failure = {"reason": "matrix identity failed"}
         return cert
     if k * (k - lam - 1) != (g.v - k - 1) * mu:
@@ -255,26 +249,21 @@ class DezaCertificate:
 def certify_deza(g: Graph) -> DezaCertificate:
     """Check the Deza property: all distinct pairs share a or b neighbours.
 
-    Collects the exact multiset of common-neighbour counts. On success the
-    certificate also reports the per-vertex count of b-partners (beta range),
-    the diameter, and strictness (diameter 2 and not strongly regular).
-    An SRG passes as a degenerate Deza graph with strict = False.
+    Collects the distinct common-neighbour counts of g.square(). On success
+    the certificate also reports, from the same A^2, the per-vertex count of
+    b-partners (beta range), the diameter, and strictness (diameter 2 and
+    not strongly regular). An SRG passes as a Deza graph with strict = False.
     """
-    return _certify_deza(g)[0]
-
-
-def _certify_deza(g: Graph) -> tuple[DezaCertificate, np.ndarray | None]:
-    """certify_deza, and A^2 when it was computed."""
     cert = DezaCertificate(v=g.v)
     if g.v < 2:
         cert.failure = {"reason": "too few vertices"}
-        return cert, None
+        return cert
     degs = g.adjacency.sum(axis=1)
     if not (degs == degs[0]).all():
         cert.failure = {"reason": "not regular"}
-        return cert, None
+        return cert
     cert.k = int(degs[0])
-    n2 = _square(g)
+    n2 = g.square()
     off = ~np.eye(g.v, dtype=bool)
     values = _distinct_counts(n2[off])
     if len(values) > 2:
@@ -282,7 +271,7 @@ def _certify_deza(g: Graph) -> tuple[DezaCertificate, np.ndarray | None]:
             "reason": f"{len(values)} distinct common-neighbour counts",
             "witnesses": _pairs_with_values(n2, off, values[:3]),
         }
-        return cert, n2
+        return cert
     if len(values) == 2:
         a_val, b_val = int(values[0]), int(values[1])
     else:
@@ -293,8 +282,8 @@ def _certify_deza(g: Graph) -> tuple[DezaCertificate, np.ndarray | None]:
     cert.beta_max = int(beta.max())
     cert.diameter = diameter(g)
     cert.passed = True
-    cert.strict = cert.diameter == 2 and not _certify_srg(g, n2).passed
-    return cert, n2
+    cert.strict = cert.diameter == 2 and not certify_srg(g).passed
+    return cert
 
 
 @dataclass
@@ -335,7 +324,7 @@ def certify_ddg(g: Graph) -> DdgCertificate:
     if that fails, the symmetric assignment with the value a is tried.
     """
     cert = DdgCertificate(v=g.v)
-    deza, n2 = _certify_deza(g)
+    deza = certify_deza(g)
     if not deza.passed:
         cert.failure = {
             "reason": "not a regular two-valued graph",
@@ -344,7 +333,7 @@ def certify_ddg(g: Graph) -> DdgCertificate:
         return cert
     for inside in (deza.b, deza.a):
         outside = deza.a if inside == deza.b else deza.b
-        result = _try_ddg_partition(g.v, n2, inside, outside)
+        result = _try_ddg_partition(g.v, g.square(), inside, outside)
         if isinstance(result, list):
             cert.m = len(result)
             cert.n = len(result[0])

@@ -61,7 +61,8 @@ def _load_graph(arg: str) -> Graph:
         return build_graph(arg)
     path = Path(arg)
     if path.is_file():
-        return from_graph6(path.read_text(), label=path.stem)
+        # one character per byte: a non-ASCII byte fails parsing at its offset
+        return from_graph6(path.read_bytes().decode("latin-1"), label=path.stem)
     raise UsageError(f"unknown graph name or file: {arg!r}")
 
 

@@ -34,7 +34,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..v-1."""
 
-    __slots__ = ("_adj", "label")
+    __slots__ = ("_adj", "_square", "label")
 
     def __init__(self, adjacency: np.ndarray, label: str = "") -> None:
         a = np.asarray(adjacency, dtype=bool)
@@ -47,6 +47,7 @@ class Graph:
         a = a.copy()
         a.setflags(write=False)
         self._adj = a
+        self._square: np.ndarray | None = None
         self.label = label
 
     # -- basic queries -------------------------------------------------------
@@ -63,6 +64,19 @@ class Graph:
     def int_adjacency(self) -> np.ndarray:
         """Adjacency as a fresh int64 0/1 matrix for exact products."""
         return self._adj.astype(np.int64)
+
+    def square(self) -> np.ndarray:
+        """Read-only A^2, the common-neighbour count of every vertex pair.
+
+        Formed on first use and kept, as the graph is immutable. Its dtype is
+        the smallest unsigned one that holds v, which cannot wrap: an entry
+        counts neighbours of one vertex, at most v - 1.
+        """
+        if self._square is None:
+            dtype = np.min_scalar_type(self.v)
+            self._square = exact_matmul(self._adj, self._adj).astype(dtype)
+            self._square.setflags(write=False)
+        return self._square
 
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self._adj[u, w])

@@ -115,9 +115,9 @@ def power_traces(g: Graph, t: int) -> list[int]:
     """Exact traces of A^0 .. A^(t-1).
 
     A is symmetric with a zero diagonal, so the first five come from A and
-    A^2 alone: v, 0, sum A, sum A o A^2 and sum A^2 o A^2. Beyond those,
-    trace A^j = sum A^p o A^q with p = j // 2 and q = j - p, one product
-    for every second j.
+    A^2 = g.square() alone: v, 0, sum A, sum A o A^2 and sum A^2 o A^2.
+    Beyond those, trace A^j = sum A^p o A^q with p = j // 2 and q = j - p,
+    one product for every second j.
     """
     if t < 1:
         raise ValueError("need at least one moment")
@@ -125,7 +125,7 @@ def power_traces(g: Graph, t: int) -> list[int]:
     traces = [g.v, 0, int(adj.sum())][:t]
     if t <= 3:
         return traces
-    low = high = exact_matmul(adj, adj)
+    low = high = g.square()
     traces.append(_entry_dot(adj, high))
     for j in range(4, t):
         if j % 2:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dezaforge import graphcore
+from dezaforge import autiso, certify, graphcore, spectra
 from dezaforge.catalog import build_graph
 
 
@@ -22,6 +22,30 @@ def witness_calls(monkeypatch):
         return witness(g, sigma)
 
     monkeypatch.setattr(graphcore, "automorphism_witness", counted)
+    return calls
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """(module, square) for every exact_matmul call, by any module's name for it.
+
+    square is the left operand when the call multiplies an array by itself,
+    and None otherwise; other operands are not kept.
+    """
+    calls = []
+    matmul = graphcore.exact_matmul
+
+    def counted_in(module):
+        name = module.__name__.rsplit(".", 1)[-1]
+
+        def counted(left, right):
+            calls.append((name, left if left is right else None))
+            return matmul(left, right)
+
+        return counted
+
+    for module in (graphcore, certify, spectra, autiso):
+        monkeypatch.setattr(module, "exact_matmul", counted_in(module))
     return calls
 
 

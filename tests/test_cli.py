@@ -339,3 +339,15 @@ INSTALLED_SCRIPTS = importlib.metadata.entry_points(
 def test_installed_console_script_matches_pyproject():
     (entry,) = INSTALLED_SCRIPTS
     assert entry.value == declared_console_script()
+
+
+def test_non_utf8_graph_file_is_a_parse_error(tmp_path, capsys):
+    # exit 1 would claim a failed certification; a byte no graph6 line can
+    # hold is an input error, reported at its offset
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C\xff\xfe\n")
+    assert main(["certify-srg", str(path)]) == 2
+    path.write_bytes(b"C\xff\n")
+    assert main(["certify-srg", str(path)]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "invalid sixbit byte" in last and last.endswith("(byte offset 1)")

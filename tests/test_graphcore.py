@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dezaforge.catalog import (
     petersen_transposition,
     switching_involution,
 )
+from dezaforge.certify import certify_deza, certify_srg, triangle_count
 from dezaforge.gf3 import ConnectionSet, connection_set_s1
 from dezaforge.graphcore import (
     Graph,
@@ -33,6 +35,7 @@ from dezaforge.graphcore import (
     to_graph6,
 )
 from dezaforge.permgroup import Permutation
+from dezaforge.spectra import power_traces
 
 
 def test_graph_validation():
@@ -59,6 +62,33 @@ def test_basic_queries(petersen):
     assert petersen.has_edge(*petersen.edges()[0])
     assert sorted(petersen.neighbors(0)) == [
         w for w in range(10) if petersen.has_edge(0, w)
+    ]
+
+
+@pytest.mark.parametrize("v, dtype", [(254, np.uint8), (256, np.uint16)])
+def test_square_is_compact_exact_and_read_only(v, dtype):
+    # the cocktail-party graph, K_v less a perfect matching: SRG(v, v-2, v-4, v-2)
+    # with spectrum (v-2)^1, 0^n, (-2)^(n-1)
+    n = v // 2
+    a = ~np.eye(v, dtype=bool)
+    a[np.arange(0, v, 2), np.arange(1, v, 2)] = False
+    a[np.arange(1, v, 2), np.arange(0, v, 2)] = False
+    g = Graph(a)
+    square = g.square()
+    assert square.dtype == dtype
+    assert (square == g.int_adjacency() @ g.int_adjacency()).all()
+    assert g.square() is square
+    with pytest.raises(ValueError):
+        square[0, 0] = 0
+    k = v - 2
+    assert certify_srg(g).parameters == (v, k, v - 4, v - 2)
+    deza = certify_deza(g)
+    assert deza.parameters == (v, k, v - 2, v - 4)
+    assert deza.diameter == 2 and not deza.strict
+    # trace(A^3) is far beyond the dtype; the sum must not wrap
+    assert triangle_count(g) == 8 * math.comb(n, 3)
+    assert power_traces(g, 7) == [
+        k**j + n * 0**j + (n - 1) * (-2) ** j for j in range(7)
     ]
 
 

@@ -155,3 +155,15 @@ def test_involution_row_tests_the_automorphism_once(gamma, witness_calls):
     row, ok = involution_row(gamma, switching_involution())
     assert ok and row["fixed"] == 27
     assert len(witness_calls) == 1
+
+
+def test_deep_run_squares_each_graph_once(matmul_calls):
+    report = run_pipeline(PipelineConfig(deep=True))
+    assert report.overall_pass
+    squares = [(module, a) for module, a in matmul_calls if a is not None]
+    # gamma, gamma-s2, delta, gamma-k2 and delta-k2, one A^2 each, by Graph.square
+    assert sorted(a.shape[0] for _, a in squares) == [243, 243, 243, 486, 486]
+    assert len({id(a) for _, a in squares}) == 5
+    assert {module for module, _ in squares} == {"graphcore"}
+    # every graph of the run has diameter 2, which A^2 settles without a product
+    assert not any(module == "certify" for module, _ in matmul_calls)
