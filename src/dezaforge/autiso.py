@@ -4,11 +4,13 @@ search between Cayley presentations.
 Equitable colour refinement alone cannot split a strongly regular graph, so
 the search starts from a colouring enriched with a pair invariant: for each
 vertex, the multiset of (adjacency, common-neighbour count) patterns against
-all other vertices. Backtracking individualization-refinement then discovers
-automorphisms as pairs of leaves with identical refinement traces. Discovered
-generators feed an exact stabilizer chain whose base is the first search
-path, so sibling branches are pruned by orbits of the correct prefix
-stabilizers.
+all other vertices. Each refinement round counts neighbour colours with one
+bincount over the directed edge list and ranks only the count columns that
+split an old colour class. Backtracking individualization-refinement then
+discovers automorphisms as pairs of leaves with identical refinement traces.
+Discovered generators feed an exact stabilizer chain whose base is the first
+search path, so sibling branches are pruned by orbits of the correct prefix
+stabilizers; each depth's orbits are recomputed only when the chain grows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .gf3 import (
     mat_vec_mul,
     vector_to_index,
 )
-from .graphcore import Graph, automorphism_witness, exact_matmul
+from .graphcore import Graph, automorphism_witness
 from .permgroup import Permutation, StabilizerChain, group_order
 
 VERTEX_CEILING = 1024
@@ -107,23 +109,29 @@ def _canonical_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _refine(
-    adj: np.ndarray, colours: np.ndarray, a2: np.ndarray | None = None
+    src: np.ndarray,
+    dst: np.ndarray,
+    colours: np.ndarray,
+    a2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Equitable refinement with deterministic, covariant colour numbering.
 
+    src and dst list the directed edges (both orientations of every edge), so
+    each round counts neighbour colours with one bincount over the edge list.
     When a2 (the common-neighbour count matrix) is supplied, rows are also
     keyed by the counts against every singleton class, which cracks strongly
-    regular graphs after the first individualization.
+    regular graphs after the first individualization. colours must use every
+    id in [0, max] and comes back unchanged once it is equitable.
     """
-    v = adj.shape[0]
+    v = colours.size
     if v == 0:
         return colours, 0
     ncol = int(colours.max()) + 1
     while True:
-        onehot = np.zeros((v, ncol), dtype=bool)
-        onehot[np.arange(v), colours] = True
-        counts = exact_matmul(adj, onehot)
-        pieces = [colours.reshape(-1, 1), counts]
+        counts = np.bincount(
+            src * ncol + colours[dst], minlength=v * ncol
+        ).reshape(v, ncol)
+        pieces = [counts]
         if a2 is not None:
             sizes = np.bincount(colours, minlength=ncol)
             singleton_ids = np.flatnonzero(sizes == 1)
@@ -133,10 +141,17 @@ def _refine(
                     np.searchsorted(colours[order], singleton_ids)
                 ]
                 pieces.append(a2[:, singleton_verts])
-        colours, distinct = _canonical_ids(np.column_stack(pieces))
-        if distinct == ncol:
+        rest = np.column_stack(pieces) if len(pieces) > 1 else counts
+        # the old colour leads the ranking, so a column constant inside every
+        # old class changes neither the order nor the equalities of the rows
+        rep = np.empty(ncol, dtype=np.intp)
+        rep[colours] = np.arange(v)
+        splits = (rest != rest[rep[colours]]).any(axis=0)
+        if not splits.any():
             return colours, ncol
-        ncol = distinct
+        colours, ncol = _canonical_ids(
+            np.column_stack([colours, rest[:, splits]])
+        )
 
 
 def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
@@ -154,7 +169,8 @@ def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
     colours, _ = _canonical_ids(
         np.asarray(list(colouring), dtype=np.int64).reshape(-1, 1)
     )
-    colours, _ = _refine(g.adjacency, colours)
+    src, dst = np.nonzero(g.adjacency)
+    colours, _ = _refine(src, dst, colours)
     return [int(c) for c in colours]
 
 
@@ -205,7 +221,7 @@ class _Search:
         seeds: list[Permutation],
     ) -> None:
         self.g = g
-        self.adj = g.adjacency
+        self.src, self.dst = np.nonzero(g.adjacency)
         self.a2 = g.square()
         self.v = g.v
         self.node_budget = node_budget
@@ -219,6 +235,8 @@ class _Search:
         self.first_leaf: np.ndarray | None = None
         self.chain: StabilizerChain | None = None
         self.found: list[np.ndarray] = []
+        # depth -> (strong generator count, orbit labels at that depth)
+        self.orbits: dict[int, tuple[int, np.ndarray]] = {}
 
     def run(self, colours: np.ndarray, ncol: int) -> None:
         self._dfs(colours, ncol, 0, True, -1)
@@ -267,7 +285,7 @@ class _Search:
                 continue
             child = colours.copy()
             child[cand] = ncol
-            child, child_ncol = _refine(self.adj, child, self.a2)
+            child, child_ncol = _refine(self.src, self.dst, child, self.a2)
             if on_first and first_candidate:
                 self.first_path.append(cand)
                 jump = self._dfs(child, child_ncol, depth + 1, True, -1)
@@ -290,21 +308,14 @@ class _Search:
         under the discovered stabilizer of the first path's depth-prefix."""
         if self.chain is None or not processed:
             return False
-        gens = self.chain.gens_at_level(depth)
-        if not gens:
-            return False
-        seen = set(processed)
-        queue = list(processed)
-        while queue:
-            pt = queue.pop()
-            for t in gens:
-                img = t[pt]
-                if img == cand:
-                    return True
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        return False
+        # the chain only grows, and only a new strong generator merges orbits
+        grown = len(self.chain.strong_gens)
+        cached = self.orbits.get(depth)
+        if cached is None or cached[0] != grown:
+            labels = _orbit_labels(self.v, self.chain.gens_at_level(depth))
+            cached = self.orbits[depth] = (grown, labels)
+        labels = cached[1]
+        return bool((labels[processed] == labels[cand]).any())
 
     def _leaf(self, colours: np.ndarray, diverged_at: int) -> int | None:
         mapping = np.empty(self.v, dtype=np.intp)
@@ -359,7 +370,9 @@ def automorphism_group(
     if g.v == 0:
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
     search = _Search(g, node_budget, time_budget, seed_list)
-    start, ncol = _refine(search.adj, _pair_invariant_colours(g), search.a2)
+    start, ncol = _refine(
+        search.src, search.dst, _pair_invariant_colours(g), search.a2
+    )
     search.run(start, ncol)
     generators = _sorted_perms(search.found)
     for p in generators:
@@ -380,25 +393,33 @@ def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
     return sorted((Permutation(p) for p in found), key=lambda p: p.images.tolist())
 
 
+def _orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest point of each point's orbit under the generated group.
+
+    Hooks the larger root of every pair (i, g[i]) to the smaller one and
+    then follows the root pointers to the end, until every pair shares a
+    root; a root never exceeds the points below it, so it is the minimum.
+    """
+    labels = np.arange(v)
+    if not gens:
+        return labels
+    points = np.tile(labels, len(gens))
+    images = np.concatenate(gens)
+    while True:
+        a, b = labels[points], labels[images]
+        if np.array_equal(a, b):
+            return labels
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:
-    if v == 0:
-        return 0
-    seen = [False] * v
-    count = 0
-    for start in range(v):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = [start]
-        while queue:
-            pt = queue.pop()
-            for t in gens:
-                img = t(pt)
-                if not seen[img]:
-                    seen[img] = True
-                    queue.append(img)
-    return count
+    labels = _orbit_labels(v, [g.images for g in gens])
+    return int(np.count_nonzero(labels == np.arange(v)))
 
 
 def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:

@@ -206,21 +206,29 @@ class StabilizerChain:
         """Close the orbit of base[level] under the level's generators.
 
         Existing transversal entries are kept as-is: replacing them would
-        invalidate Schreier generators already processed against them.
+        invalidate Schreier generators already processed against them. A new
+        entry u = g . rep makes the Schreier generator of (pt, g) the
+        identity, so that pair is marked processed without a sift.
         """
         tr = self.transversals[level]
-        gens = self.gens_at_level(level)
+        processed = self._processed[level]
+        gens = [
+            (gid, g)
+            for gid, (g, lv) in enumerate(zip(self.strong_gens, self.gen_level))
+            if lv >= level
+        ]
         queue = list(tr.keys())
         head = 0
         while head < len(queue):
             pt = queue[head]
             head += 1
             rep = tr[pt][0]
-            for g in gens:
+            for gid, g in gens:
                 img = int(g[pt])
                 if img not in tr:
                     u = g[rep]
                     tr[img] = (u, _inverse(u))
+                    processed.add((pt, gid))
                     queue.append(img)
 
     def _complete(self) -> None:

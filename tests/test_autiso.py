@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,8 @@ from dezaforge.catalog import AUT_ORDERS, build_graph, involutions_for, known_ge
 from dezaforge.certify import certify_ddg
 from dezaforge.gf3 import ConnectionSet, connection_set_s1, mat_vec_mul
 from dezaforge.golay import connection_set_S2
-from dezaforge.graphcore import from_edges
-from dezaforge.permgroup import Permutation, identity_perm
+from dezaforge.graphcore import Graph, exact_matmul, from_edges
+from dezaforge.permgroup import Permutation, StabilizerChain, identity_perm
 
 
 def test_refine_splits_path():
@@ -232,3 +234,116 @@ def test_search_and_certificates_do_not_call_unique(delta, delta_k2, unique_call
     automorphism_group(delta)
     certify_ddg(delta_k2)
     assert len(unique_calls) == 0
+
+
+def _reference_refine(adj, colours, a2=None):
+    """_refine as a dense product and np.unique, for the oracle test only."""
+    v = adj.shape[0]
+    ncol = int(colours.max()) + 1
+    while True:
+        onehot = np.zeros((v, ncol), dtype=bool)
+        onehot[np.arange(v), colours] = True
+        pieces = [colours.reshape(-1, 1), exact_matmul(adj, onehot)]
+        if a2 is not None:
+            sizes = np.bincount(colours, minlength=ncol)
+            singletons = [
+                np.flatnonzero(colours == c)[0] for c in np.flatnonzero(sizes == 1)
+            ]
+            if singletons:
+                pieces.append(a2[:, singletons])
+        uniq, inverse = np.unique(
+            np.column_stack(pieces), axis=0, return_inverse=True
+        )
+        colours = inverse.reshape(-1)
+        if len(uniq) == ncol:
+            return colours, ncol
+        ncol = len(uniq)
+
+
+@st.composite
+def coloured_graphs(draw):
+    v = draw(st.integers(1, 40))
+    bits = draw(arrays(np.bool_, (v, v), elements=st.booleans()))
+    adj = np.triu(bits, 1)
+    k = draw(st.integers(1, v))
+    raw = draw(arrays(np.int64, v, elements=st.integers(0, k - 1)))
+    return Graph(adj | adj.T), np.unique(raw, return_inverse=True)[1].reshape(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_graphs(), st.booleans())
+def test_refine_matches_dense_reference(graph_and_colours, with_a2):
+    g, colours = graph_and_colours
+    a2 = g.square() if with_a2 else None
+    src, dst = np.nonzero(g.adjacency)
+    got, count = autiso._refine(src, dst, colours.copy(), a2)
+    want, want_count = _reference_refine(g.adjacency, colours, a2)
+    assert np.array_equal(got, want)
+    assert count == want_count
+
+
+def test_unseeded_search_multiplies_only_for_the_square(gamma, matmul_calls):
+    inv = np.argsort((7 * np.arange(gamma.v) + 3) % gamma.v)
+    relabelled = Graph(gamma.adjacency[np.ix_(inv, inv)])
+    assert automorphism_group(relabelled).order == 3_849_120
+    # refinement counts over the edge list; the one product is Graph.square's
+    assert len(matmul_calls) == 1
+    module, square = matmul_calls[0]
+    assert module == "graphcore" and square is relabelled.adjacency
+
+
+def test_pruning_orbits_follow_the_growing_chain():
+    search = autiso._Search(from_edges(5, []), 100, None, [])
+    search.chain = StabilizerChain(5, base=[0])
+    search.chain.add_generator([0, 2, 1, 3, 4])
+    assert search._pruned(2, 1, [1])
+    assert not search._pruned(3, 1, [1])
+    assert 1 in search.orbits
+    # (1 3) fixes base point 0, so it joins level 1 and merges 3 into 1's orbit
+    search.chain.add_generator([0, 3, 2, 1, 4])
+    assert search._pruned(3, 1, [1])
+    assert not search._pruned(4, 1, [1, 2])
+
+
+def test_automorphism_group_matches_closed_forms(monkeypatch):
+    pytest.importorskip("networkx")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    gen = pytest.importorskip("gen")
+    family = gen.closed_form_family()
+    assert len(family) == 18
+    for i, e in enumerate(family):
+        copy = gen.relabel(e, np.random.default_rng([17, i]))
+        result = automorphism_group(Graph(copy.adj))
+        assert result.order == e.aut_order, e.name
+        assert verify_subgroup(Graph(copy.adj), result.generators) == e.aut_order
+
+
+@st.composite
+def permutation_sets(draw):
+    """Up to three permutations of [0, v), each moving a random subset."""
+    v = draw(st.integers(1, 30))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, v - 1), unique=True))
+        images = np.arange(v)
+        images[moved] = draw(st.permutations(moved))
+        gens.append(images)
+    return v, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_sets())
+def test_orbit_labels_match_a_walk(v_and_gens):
+    v, gens = v_and_gens
+    labels = autiso._orbit_labels(v, gens)
+    for start in range(v):
+        orbit, queue = {start}, [start]
+        while queue:
+            pt = queue.pop()
+            for g in gens:
+                if g[pt] not in orbit:
+                    orbit.add(int(g[pt]))
+                    queue.append(int(g[pt]))
+        assert labels[start] == min(orbit)
+    perms = [Permutation(g) for g in gens]
+    assert autiso._orbit_count(v, perms) == len(set(labels.tolist()))

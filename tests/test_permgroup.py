@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dezaforge.catalog import known_generators
 from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, identity, negate, vector_to_index
 from dezaforge.permgroup import (
     NotAPermutationError,
@@ -192,3 +193,25 @@ def test_permutation_images_cannot_be_deleted():
         del p.images
     assert hash(p) == before
     assert p.to_json() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_tree_edges_are_not_sifted(name, monkeypatch):
+    gens = known_generators(name)
+    sifts = []
+    sift = StabilizerChain.sift
+
+    def counted(self, g, start=0):
+        sifts.append(start)
+        return sift(self, g, start)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    chain = StabilizerChain(gens[0].degree)
+    for g in gens:
+        chain.add_generator(g.images)
+    orbits = [len(tr) for tr in chain.transversals]
+    levels = [len(chain.gens_at_level(lvl)) for lvl in range(len(orbits))]
+    # one sift per add_generator and per Schreier generator, except the
+    # |O| - 1 pairs at each level whose generator is a transversal edge
+    schreier = sum(o * s for o, s in zip(orbits, levels)) - sum(o - 1 for o in orbits)
+    assert len(sifts) == len(gens) + schreier
