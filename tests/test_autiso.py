@@ -19,7 +19,15 @@ from dezaforge.autiso import (
 )
 from dezaforge.catalog import AUT_ORDERS, build_graph, involutions_for, known_generators
 from dezaforge.certify import certify_ddg
-from dezaforge.gf3 import ConnectionSet, connection_set_s1, mat_vec_mul
+from dezaforge.gf3 import (
+    ConnectionSet,
+    GF3Matrix,
+    all_vectors,
+    connection_set_s1,
+    indices_of,
+    mat_vec_mul,
+    rank,
+)
 from dezaforge.golay import connection_set_S2
 from dezaforge.graphcore import Graph, exact_matmul, from_edges
 from dezaforge.permgroup import Permutation, StabilizerChain, identity_perm
@@ -186,6 +194,110 @@ def test_find_linear_cayley_isomorphism_dimension_mismatch():
     s1 = connection_set_s1()
     with pytest.raises(ValueError):
         find_linear_cayley_isomorphism(s1, a)
+
+
+IDENTITY_5 = [[int(i == j) for j in range(5)] for i in range(5)]
+PINNED_ISOMORPHISMS = {
+    ("s1", "s1"): IDENTITY_5,
+    ("s1", "s2"): [
+        [1, 2, 0, 2, 1], [0, 0, 1, 1, 2], [0, 1, 2, 0, 1], [0, 0, 0, 2, 1],
+        [0, 2, 1, 0, 0],
+    ],
+    ("s2", "s1"): [
+        [1, 1, 0, 0, 2], [0, 1, 0, 1, 2], [0, 1, 0, 1, 0], [0, 0, 1, 2, 1],
+        [0, 0, 1, 0, 1],
+    ],
+    ("s2", "s2"): IDENTITY_5,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_ISOMORPHISMS), ids="-".join)
+def test_find_linear_cayley_isomorphism_pins_the_matrix(pair):
+    # the search returns the first valid assignment in a fixed order, so the
+    # certificate matrix in `run` and `iso` output is the same on every run
+    sets = {"s1": connection_set_s1(), "s2": connection_set_S2()}
+    matrix = find_linear_cayley_isomorphism(sets[pair[0]], sets[pair[1]])
+    assert matrix is not None
+    assert matrix.array.tolist() == PINNED_ISOMORPHISMS[pair]
+
+
+def test_find_linear_cayley_isomorphism_rejects_a_non_spanning_source():
+    # Sa spans only the plane x3 = 0; Sb spans V(3,3) and has the same size
+    sa = ConnectionSet.from_vectors(
+        [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0)]
+    )
+    sb = ConnectionSet.from_vectors(
+        [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
+    )
+    with pytest.raises(ValueError, match="does not span"):
+        find_linear_cayley_isomorphism(sa, sb)
+
+
+def _general_linear_group(n):
+    """Every invertible n x n matrix over GF(3), as an (N, n, n) array."""
+    entries = all_vectors(n * n).reshape(-1, n, n)
+    return entries[np.rint(np.linalg.det(entries)).astype(np.int64) % 3 != 0]
+
+
+GL = {n: _general_linear_group(n) for n in (2, 3)}
+
+
+def _connection_set(n, reps):
+    return ConnectionSet(
+        n, frozenset(tuple(int(x) * s % 3 for x in r) for r in reps for s in (1, 2))
+    )
+
+
+@st.composite
+def connection_set_pairs(draw):
+    """Equal-size inverse-closed sets in V(n,3), n in {2, 3}; the first spans.
+
+    The second is the first's image under an invertible matrix, or that
+    image with one pair swapped out, so both answers of the search are
+    exercised.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    # one representative per +-pair: the first nonzero coordinate is 1
+    reps = [
+        tuple(v)
+        for v in all_vectors(n).tolist()
+        if any(v) and v[np.flatnonzero(v)[0]] == 1
+    ]
+    # short of every pair, so a near miss has a pair to swap in
+    sa_reps = draw(
+        st.lists(
+            st.sampled_from(reps), min_size=n, max_size=len(reps) - 1, unique=True
+        ).filter(lambda vs: rank(GF3Matrix(vs)) == n)
+    )
+    m = GL[n][draw(st.integers(0, len(GL[n]) - 1))]
+    # images scaled back to their pair's representative
+    sb_reps = [
+        tuple(int(x) for x in row * row[np.flatnonzero(row)[0]] % 3)
+        for row in np.array(sa_reps) @ m % 3
+    ]
+    if draw(st.booleans()):
+        # a near miss: one pair of the image swapped for a pair outside it
+        sb_reps[draw(st.integers(0, len(sb_reps) - 1))] = draw(
+            st.sampled_from([r for r in reps if r not in sb_reps])
+        )
+    return _connection_set(n, sa_reps), _connection_set(n, sb_reps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connection_set_pairs())
+def test_find_linear_cayley_isomorphism_matches_brute_force(pair):
+    sa, sb = pair
+    n = sa.dimension
+    sa_rows = np.array(sorted(sa.vectors))
+    want = np.sort(indices_of(np.array(sorted(sb.vectors))))
+    images = indices_of((sa_rows @ GL[n] % 3).reshape(-1, n))
+    images = np.sort(images.reshape(len(GL[n]), -1))
+    exists = bool((images == want).all(axis=1).any())
+    matrix = find_linear_cayley_isomorphism(sa, sb)
+    assert (matrix is not None) == exists
+    if matrix is not None:
+        assert rank(matrix) == n
+        assert frozenset(mat_vec_mul(v, matrix) for v in sa) == sb.vectors
 
 
 def test_generators_are_checked_under_optimization(run_optimized):
