@@ -24,14 +24,11 @@ import numpy as np
 from .gf3 import (
     ConnectionSet,
     GF3Matrix,
-    GFVector,
     all_vectors,
-    index_to_vector,
     indices_of,
     invert,
     mat_mul,
-    mat_vec_mul,
-    vector_to_index,
+    rank,
 )
 from .graphcore import Graph, automorphism_witness
 from .permgroup import Permutation, StabilizerChain, group_order
@@ -441,140 +438,60 @@ def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
 def find_linear_cayley_isomorphism(
     sa: ConnectionSet, sb: ConnectionSet
 ) -> GF3Matrix | None:
-    """Invertible L over GF(3) with Sa . L = Sb, or None if none is found.
+    """Invertible L over GF(3) with Sa . L = Sb, or None if there is none.
 
     Fixes a basis inside Sa greedily (in sorted vector order) and runs a
-    depth-first search over tuples of Sb as candidate images. Branches are
-    cut when the images become linearly dependent, when a pairwise
-    sum/difference membership pattern disagrees between the two sets, when
-    the candidate's pattern-count profile differs from the basis vector's,
-    or when a set member already determined by the partial map would land
-    outside Sb. A surviving full assignment determines L, which is verified
-    against the complete sets before being returned. None does not prove
-    the Cayley graphs non-isomorphic: only linear vertex maps are searched.
+    depth-first search over members of Sb, in sorted order, as the basis
+    images. L carries Sa onto Sb iff every nonzero x has xL nonzero and in
+    Sb exactly when x is in Sa. Depth d checks this, for all candidates at
+    once, on every x whose top basis coordinate is d, so each nonzero vector
+    is checked once and the first surviving full assignment is returned.
+    Before the search, u.(xL) = (uL^T).x gives an invariant: L keeps the
+    multiset of how many members each linear functional leaves nonzero.
+    None does not prove the Cayley graphs non-isomorphic: only linear
+    vertex maps are searched.
     """
     if sa.dimension != sb.dimension:
         raise ValueError("connection sets live in different dimensions")
     if len(sa) != len(sb):
         return None
     n = sa.dimension
-    size = 3**n
-    vectors = all_vectors(n)
-    # index arithmetic tables: ADD[a, b] = index of vec_a + vec_b, NEG likewise
-    sums = (vectors[:, None, :] + vectors[None, :, :]) % 3
-    add_table = (
-        indices_of(sums.reshape(-1, n)).reshape(size, size).astype(np.int64)
-    )
-    neg_table = indices_of((-vectors) % 3).astype(np.int64)
-
-    sa_list = sorted(sa)
-    sb_list = sorted(sb)
-    sa_idx = [vector_to_index(v) for v in sa_list]
-    sb_idx = [vector_to_index(v) for v in sb_list]
-    sa_members = frozenset(sa_idx)
-    sb_members = frozenset(sb_idx)
-
-    def _profile(x: int, members: frozenset) -> tuple[int, int, int, int]:
-        buckets = [0, 0, 0, 0]
-        for y in members:
-            plus = int(add_table[x, y]) in members
-            minus = int(add_table[x, neg_table[y]]) in members
-            buckets[2 * plus + minus] += 1
-        return tuple(buckets)
-
-    sb_profiles = {c: _profile(c, sb_members) for c in sb_idx}
-
-    basis: list[GFVector] = []
-    basis_idx: list[int] = []
-    span: set[int] = {0}
-    for vec in sa_list:
-        vidx = vector_to_index(vec)
-        if vidx in span:
-            continue
-        span |= {
-            int(add_table[s, w])
-            for s in span
-            for w in (vidx, int(add_table[vidx, vidx]))
-        }
-        basis.append(vec)
-        basis_idx.append(vidx)
-        if len(basis) == n:
-            break
+    rows_a, rows_b = (np.array(sorted(s.vectors)) for s in (sa, sb))
+    basis = rows_a[:0]
+    for vec in rows_a:
+        grown = np.vstack([basis, vec])
+        if len(basis) < n and rank(GF3Matrix(grown)) == len(grown):
+            basis = grown
     if len(basis) < n:
         raise ValueError("connection set does not span the space")
 
-    # coordinates of every Sa member over the chosen basis; members whose
-    # support ends at depth d become fully determined once img_d is chosen
-    basis_inv = invert(GF3Matrix([list(b) for b in basis]))
-    determined_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for vec, vidx in zip(sa_list, sa_idx):
-        coords = mat_vec_mul(vec, basis_inv)
-        top = max(i for i in range(n) if coords[i])
-        determined_at[top].append((vidx, coords))
+    def profile(rows: np.ndarray) -> np.ndarray:
+        nonzero = (all_vectors(n) @ rows.T % 3 != 0).sum(axis=1)
+        return np.bincount(nonzero, minlength=len(rows) + 1)
 
-    sa_patterns = [
-        [
-            (
-                int(add_table[basis_idx[i], basis_idx[d]]) in sa_members,
-                int(add_table[basis_idx[i], neg_table[basis_idx[d]]]) in sa_members,
-            )
-            for i in range(d)
-        ]
-        for d in range(n)
-    ]
-    sa_profiles = [_profile(b, sa_members) for b in basis_idx]
+    if not np.array_equal(profile(rows_a), profile(rows_b)):
+        return None
+    in_a, in_b = (np.isin(np.arange(3**n), indices_of(r)) for r in (rows_a, rows_b))
 
-    chosen: list[int] = []
-    span_stack: list[set[int]] = [{0}]
-
-    def _combo(coords: tuple[int, ...]) -> int:
-        acc = 0
-        for coeff, img in zip(coords, chosen):
-            if coeff:
-                acc = int(add_table[acc, img])
-                if coeff == 2:
-                    acc = int(add_table[acc, img])
-        return acc
-
-    def dfs(depth: int) -> GF3Matrix | None:
-        if depth == n:
-            image_matrix = GF3Matrix(
-                [list(index_to_vector(c, n)) for c in chosen]
-            )
-            candidate = mat_mul(basis_inv, image_matrix)
-            image = frozenset(mat_vec_mul(vec, candidate) for vec in sa_list)
-            return candidate if image == sb.vectors else None
-        for cand in sb_idx:
-            if cand in span_stack[-1]:
-                continue
-            if sb_profiles[cand] != sa_profiles[depth]:
-                continue
-            if any(
-                (
-                    int(add_table[chosen[i], cand]) in sb_members,
-                    int(add_table[chosen[i], neg_table[cand]]) in sb_members,
-                )
-                != sa_patterns[depth][i]
-                for i in range(depth)
-            ):
-                continue
-            chosen.append(cand)
-            if all(
-                _combo(coords) in sb_members
-                for _, coords in determined_at[depth]
-            ):
-                extended = span_stack[-1] | {
-                    int(add_table[s, w])
-                    for s in span_stack[-1]
-                    for w in (cand, int(add_table[cand, cand]))
-                }
-                span_stack.append(extended)
-                result = dfs(depth + 1)
-                span_stack.pop()
-                if result is not None:
-                    chosen.pop()
-                    return result
-            chosen.pop()
+    def dfs(images: np.ndarray) -> np.ndarray | None:
+        d = len(images)
+        if d == n:
+            return images
+        # coordinates over the basis of every vector whose top coordinate is d
+        coords = all_vectors(d + 1)
+        coords = coords[coords[:, d] != 0]
+        sources = indices_of(coords @ basis[: d + 1] % 3)
+        # targets[c, j]: the image of source j when rows_b[c] is basis[d]'s image
+        mapped = (coords[:, :d] @ images + coords[:, d:] * rows_b[:, None]) % 3
+        targets = indices_of(mapped.reshape(-1, n)).reshape(len(rows_b), -1)
+        fits = ((targets != 0) & (in_b[targets] == in_a[sources])).all(axis=1)
+        for c in np.flatnonzero(fits):
+            found = dfs(np.vstack([images, rows_b[c]]))
+            if found is not None:
+                return found
         return None
 
-    return dfs(0)
+    images = dfs(rows_b[:0])
+    if images is None:
+        return None
+    return mat_mul(invert(GF3Matrix(basis)), GF3Matrix(images))
