@@ -16,6 +16,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from .autiso import VERTEX_CEILING
 from .catalog import (
     AUT_ORDERS,
     GRAPH_NAMES,
@@ -197,6 +198,10 @@ def _cmd_product(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _cmd_aut(args: argparse.Namespace) -> tuple[Any, int]:
     g = _load_graph(args.graph)
+    if g.v > VERTEX_CEILING:
+        raise UsageError(
+            f"graph has {g.v} vertices, above the ceiling {VERTEX_CEILING}"
+        )
     payload, ok = aut_check(
         g,
         known_generators(args.graph) if args.graph in GRAPH_NAMES else [],

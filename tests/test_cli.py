@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from dezaforge.autiso import VERTEX_CEILING
 from dezaforge.cli import main
+from dezaforge.graphcore import from_edges, to_graph6
 from dezaforge.pipeline import PipelineConfig, run_pipeline
 
 
@@ -249,6 +251,15 @@ def test_graph6_with_trailing_non_ascii_whitespace_is_parse_error(tmp_path, caps
     path.write_text(text + "\n")
     assert main(["build", str(path)]) == 2
     assert "graph6 parse failure" in capsys.readouterr().err
+
+
+def test_aut_above_the_vertex_ceiling_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.g6"
+    path.write_text(to_graph6(from_edges(VERTEX_CEILING + 1, [])) + "\n")
+    assert main(["aut", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dezaforge: error:")
+    assert f"above the ceiling {VERTEX_CEILING}" in err
 
 
 def test_unknown_subcommand_exits_2():
