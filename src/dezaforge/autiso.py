@@ -30,7 +30,7 @@ from .gf3 import (
     mat_mul,
     rank,
 )
-from .graphcore import Graph, automorphism_witness
+from .graphcore import Graph, _component_labels, automorphism_witness
 from .permgroup import Permutation, StabilizerChain, group_order
 
 VERTEX_CEILING = 1024
@@ -65,6 +65,13 @@ class NotAnAutomorphismError(ValueError):
         super().__init__(
             f"permutation does not preserve adjacency at the pair ({u}, {w})"
         )
+
+
+def _check_automorphism(g: Graph, sigma: Permutation) -> None:
+    """Raise NotAnAutomorphismError unless sigma preserves adjacency."""
+    witness = automorphism_witness(g, sigma)
+    if witness is not None:
+        raise NotAnAutomorphismError(witness)
 
 
 @dataclass
@@ -359,9 +366,7 @@ def automorphism_group(
     for s in seeds or []:
         if s.degree != g.v:
             raise ValueError("seed degree does not match the graph")
-        witness = automorphism_witness(g, s)
-        if witness is not None:
-            raise NotAnAutomorphismError(witness)
+        _check_automorphism(g, s)
         if not s.is_identity():
             seed_list.append(s)
     if g.v == 0:
@@ -373,9 +378,7 @@ def automorphism_group(
     search.run(start, ncol)
     generators = _sorted_perms(search.found)
     for p in generators:
-        witness = automorphism_witness(g, p)
-        if witness is not None:
-            raise NotAnAutomorphismError(witness)
+        _check_automorphism(g, p)
     order = search.chain.order() if search.chain is not None else 1
     return AutResult(
         order=order,
@@ -391,27 +394,10 @@ def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
 
 
 def _orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
-    """The smallest point of each point's orbit under the generated group.
-
-    Hooks the larger root of every pair (i, g[i]) to the smaller one and
-    then follows the root pointers to the end, until every pair shares a
-    root; a root never exceeds the points below it, so it is the minimum.
-    """
-    labels = np.arange(v)
+    """The smallest point of each point's orbit under the generated group."""
     if not gens:
-        return labels
-    points = np.tile(labels, len(gens))
-    images = np.concatenate(gens)
-    while True:
-        a, b = labels[points], labels[images]
-        if np.array_equal(a, b):
-            return labels
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+        return np.arange(v)
+    return _component_labels(v, np.tile(np.arange(v), len(gens)), np.concatenate(gens))
 
 
 def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:
@@ -426,12 +412,9 @@ def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
     NotAnAutomorphismError with a witness pair. The returned order is a
     certified lower bound on |Aut(g)|; the empty list yields 1.
     """
-    checked = []
-    for s in gens:
-        witness = automorphism_witness(g, s)
-        if witness is not None:
-            raise NotAnAutomorphismError(witness)
-        checked.append(s)
+    checked = list(gens)
+    for s in checked:
+        _check_automorphism(g, s)
     return group_order(checked)
 
 

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .graphcore import Graph, exact_matmul
+from .graphcore import Graph, _component_labels, exact_matmul
 
 
 class InvalidPairError(ValueError):
@@ -356,22 +356,12 @@ def _try_ddg_partition(
     """Classes = components of the inside-relation; validate all pair counts."""
     relation = n2 == inside
     np.fill_diagonal(relation, False)
-    seen = np.zeros(v, dtype=bool)
-    classes: list[list[int]] = []
-    for s in range(v):
-        if seen[s]:
-            continue
-        members = [s]
-        seen[s] = True
-        head = 0
-        while head < len(members):
-            u = members[head]
-            head += 1
-            for w in np.flatnonzero(relation[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(int(w))
-        classes.append(sorted(members))
+    labels = _component_labels(v, *np.nonzero(relation))
+    # labels are class minima, so a stable sort lists the classes in order
+    # of their smallest member, each in increasing order
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    classes = [c.tolist() for c in np.split(order, starts)]
     sizes = {len(c) for c in classes}
     if len(sizes) != 1:
         return {"reason": "relation classes have unequal sizes",
@@ -379,11 +369,7 @@ def _try_ddg_partition(
     size = sizes.pop()
     if size == 1 and inside != outside:
         return {"reason": "within-class relation is empty"}
-    cls_of = np.empty(v, dtype=np.int64)
-    for ci, members in enumerate(classes):
-        for u in members:
-            cls_of[u] = ci
-    same = cls_of[:, None] == cls_of[None, :]
+    same = labels[:, None] == labels[None, :]
     off = ~np.eye(v, dtype=bool)
     bad_inside = off & same & (n2 != inside)
     if bad_inside.any():

@@ -237,6 +237,26 @@ def strong_product_K2(g: Graph, label: str = "") -> Graph:
     return Graph(a, label)
 
 
+def _component_labels(v: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component under the pairs (src, dst).
+
+    Hooks the larger root of every pair to the smaller one and then follows
+    the root pointers to the end, until every pair shares a root; a root
+    never exceeds the points below it, so it is the minimum.
+    """
+    labels = np.arange(v)
+    while True:
+        a, b = labels[src], labels[dst]
+        if np.array_equal(a, b):
+            return labels
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:
     """None when sigma preserves adjacency, else the first pair it violates.
 
@@ -306,9 +326,8 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
     applied to graphs that are already Deza but not strongly regular; for
     those inputs the structural preconditions above are the meaningful ones.
 
-    The result is computed as PM and cross-checked row by row against the
-    neighbourhood formula: the switched neighbourhood of u is the original
-    neighbourhood of sigma(u) (of u itself when fixed).
+    Row u of PM is row sigma(u) of M: the switched neighbourhood of u is
+    the original neighbourhood of sigma(u) (of u itself when fixed).
     """
     if sigma.degree != g.v:
         raise SwitchingInapplicableError("permutation degree does not match graph")
@@ -336,13 +355,7 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
             raise SwitchingInapplicableError(
                 f"strongly regular input has lambda = mu = {mu}"
             )
-    result = Graph(g.adjacency[sigma.images], label)
-    # independent formulation: neighbourhoods are pulled back through sigma
-    for u in range(g.v):
-        expected = g.adjacency[sigma(u)]
-        if not (result.adjacency[u] == expected).all():
-            raise AssertionError("switched rows disagree with the neighbourhood formula")
-    return result
+    return Graph(g.adjacency[sigma.images], label)
 
 
 def lift_involution_to_product(sigma: Permutation) -> Permutation:
