@@ -397,7 +397,8 @@ def _orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
     """The smallest point of each point's orbit under the generated group."""
     if not gens:
         return np.arange(v)
-    return _component_labels(v, np.tile(np.arange(v), len(gens)), np.concatenate(gens))
+    points = np.tile(np.arange(v), len(gens))
+    return _component_labels(v, points, np.concatenate(gens))
 
 
 def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:
