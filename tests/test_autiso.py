@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -406,15 +407,90 @@ def test_unseeded_search_multiplies_only_for_the_square(gamma, matmul_calls):
 
 def test_pruning_orbits_follow_the_growing_chain():
     search = autiso._Search(from_edges(5, []), 100, None, [])
-    search.chain = StabilizerChain(5, base=[0])
-    search.chain.add_generator([0, 2, 1, 3, 4])
+    # (1 2) fixes first-path point 0, so it prunes at depth 1
+    search.gens.append(np.array([0, 2, 1, 3, 4]))
+    search.levels.append(1)
     assert search._pruned(2, 1, [1])
     assert not search._pruned(3, 1, [1])
     assert 1 in search.orbits
-    # (1 3) fixes base point 0, so it joins level 1 and merges 3 into 1's orbit
-    search.chain.add_generator([0, 3, 2, 1, 4])
+    # (1 3) also has level 1, and merges 3 into 1's orbit
+    search.gens.append(np.array([0, 3, 2, 1, 4]))
+    search.levels.append(1)
     assert search._pruned(3, 1, [1])
     assert not search._pruned(4, 1, [1, 2])
+    # a generator of level 1 moves first_path[1], so depth 2 does not use it
+    assert not search._pruned(2, 2, [1])
+
+
+def test_unseeded_search_makes_no_sift(petersen, delta, monkeypatch):
+    # the found automorphisms are a strong generating set for the first path,
+    # so the order is read from their orbits without a stabilizer chain
+    calls = []
+    sift = StabilizerChain.sift
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    assert automorphism_group(petersen).order == 120
+    assert automorphism_group(delta).order == 2592
+    assert calls == []
+
+
+def test_seed_chain_past_the_first_path_raises(petersen):
+    from dezaforge.catalog import petersen_transposition
+
+    search = autiso._Search(petersen, 100, None, [petersen_transposition()])
+    # a first leaf at the root fixes every point, so no seed can fit its chain
+    with pytest.raises(RuntimeError, match="first leaf"):
+        search._leaf(np.arange(petersen.v), -1)
+
+
+def _paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return from_edges(
+        p, [(a, b) for a in range(p) for b in range(a + 1, p) if (b - a) % p in squares]
+    )
+
+
+@pytest.mark.parametrize("name", ["c5", "petersen", "paley-13", "delta"])
+def test_any_subset_of_the_generators_as_seeds_gives_the_order(name):
+    g = _paley(13) if name == "paley-13" else build_graph(name)
+    unseeded = automorphism_group(g)
+    assert unseeded.order == {"paley-13": 78, **AUT_ORDERS}[name]
+    gens = unseeded.generators
+    for size in range(len(gens) + 1):
+        for seeds in itertools.combinations(gens, size):
+            assert automorphism_group(g, seeds=seeds).order == unseeded.order
+
+
+# every permutation of [0, v), one per row, for the brute-force oracle
+ALL_PERMUTATIONS = {
+    v: np.array(list(itertools.permutations(range(v))), dtype=np.intp).reshape(-1, v)
+    for v in range(1, 7)
+}
+
+
+@st.composite
+def small_relabelled_graphs(draw):
+    v = draw(st.integers(1, 6))
+    bits = draw(arrays(np.bool_, (v, v), elements=st.booleans()))
+    adj = np.triu(bits, 1)
+    return adj | adj.T, np.array(draw(st.permutations(range(v))), dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_relabelled_graphs())
+def test_order_matches_brute_force_count(graph_and_relabelling):
+    adj, relabelling = graph_and_relabelling
+    perms = ALL_PERMUTATIONS[len(adj)]
+    autos = perms[(adj[perms[:, :, None], perms[:, None, :]] == adj).all(axis=(1, 2))]
+    orbit_count = len({int(autos[:, i].min()) for i in range(len(adj))})
+    for labelled in (adj, adj[np.ix_(relabelling, relabelling)]):
+        result = automorphism_group(Graph(labelled))
+        assert result.order == len(autos)
+        assert result.orbit_count == orbit_count
 
 
 def test_automorphism_group_matches_closed_forms(monkeypatch):

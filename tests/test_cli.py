@@ -161,6 +161,36 @@ def test_aut_budget_stop_on_a_file_fails(tmp_path, capsys):
     assert out["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aut", "gamma", "--node-budget", "-5"],
+        ["aut", "gamma", "--time-budget", "-1"],
+        ["aut", "gamma", "--time-budget", "nan"],
+        ["aut", "gamma", "--time-budget", "inf"],
+        ["run", "--node-budget", "-1"],
+        ["run", "--time-budget", "-0.5"],
+        ["run", "--time-budget", "nan"],
+        ["run", "--time-budget", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_budget_is_usage_error(argv, capsys):
+    # a negative budget used to pass after 0 nodes, nan turned the time
+    # budget off, and `run` printed NaN or Infinity, which is not JSON
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_zero_budgets_are_legal(capsys):
+    assert main(["aut", "delta", "--node-budget", "0", "--time-budget", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lower_bound_only"] is True
+    assert out["nodes_searched"] == 0
+
+
 def test_iso(capsys):
     assert main(["iso", "s1", "s2"]) == 0
     out = json.loads(capsys.readouterr().out)
