@@ -8,9 +8,13 @@ all other vertices. Each refinement round counts neighbour colours with one
 bincount over the directed edge list and ranks only the count columns that
 split an old colour class. Backtracking individualization-refinement then
 discovers automorphisms as pairs of leaves with identical refinement traces.
-Discovered generators feed an exact stabilizer chain whose base is the first
-search path, so sibling branches are pruned by orbits of the correct prefix
-stabilizers; each depth's orbits are recomputed only when the chain grows.
+An automorphism found below depth d of the first search path fixes the
+path's first d points and moves point d out of the orbits pruned so far, so
+each depth's generators form a strong generating set for the first path
+(McKay 1981; McKay & Piperno 2014): siblings are pruned by the orbits of
+the generators of their depth or deeper, recomputed only when that set
+grows, and |Aut| is the product of the first path's orbit sizes. Seeds
+enter through one Schreier-Sims chain whose base is the first path.
 """
 
 from __future__ import annotations
@@ -215,7 +219,13 @@ def _target_cell(colours: np.ndarray, ncol: int) -> list[int] | None:
 
 
 class _Search:
-    """One individualization-refinement run over a fixed graph."""
+    """One individualization-refinement run over a fixed graph.
+
+    Pruning uses gens with their levels: generator i fixes
+    first_path[:levels[i]] pointwise. The seed chain's strong generators come
+    first, then each automorphism found, at the depth where its branch left
+    the first path.
+    """
 
     def __init__(
         self,
@@ -237,26 +247,38 @@ class _Search:
         self.first_path: list[int] = []
         self.first_traces: list[tuple] = []
         self.first_leaf: np.ndarray | None = None
-        self.chain: StabilizerChain | None = None
+        self.gens: list[np.ndarray] = []
+        self.levels: list[int] = []
+        # the reported generators: the seeds the chain kept, then those found
         self.found: list[np.ndarray] = []
-        # depth -> (strong generator count, orbit labels at that depth)
+        # depth -> (count of generators at that level or deeper, orbit labels)
         self.orbits: dict[int, tuple[int, np.ndarray]] = {}
 
     def run(self, colours: np.ndarray, ncol: int) -> None:
         self._dfs(colours, ncol, 0, True, -1)
 
-    def _lower_bound(self) -> int:
-        if self.chain is not None:
-            return self.chain.order()
-        return group_order(self.seeds)
+    def order(self) -> int:
+        """|Aut|: the product of the first path's orbit sizes, once run."""
+        order = 1
+        for depth, point in enumerate(self.first_path):
+            labels = self._labels(depth)
+            order *= int(np.count_nonzero(labels == labels[point]))
+        return order
+
+    def orbit_count(self) -> int:
+        labels = self._labels(0)
+        return int(np.count_nonzero(labels == np.arange(self.v)))
 
     def _check_budget(self) -> None:
         self.nodes += 1
         over_nodes = self.nodes > self.node_budget
         over_time = self.deadline is not None and time.monotonic() > self.deadline
         if over_nodes or over_time:
+            # mid-search the levels need not form a strong generating set,
+            # so the bound comes from one chain built here
+            found = _sorted_perms(self.found)
             raise SearchBudgetError(
-                self.nodes - 1, self._lower_bound(), _sorted_perms(self.found)
+                self.nodes - 1, group_order(self.seeds + found), found
             )
 
     def _dfs(
@@ -307,29 +329,27 @@ class _Search:
                 return jump
         return None
 
+    def _labels(self, depth: int) -> np.ndarray:
+        """Orbit labels of the generators that fix first_path[:depth]."""
+        gens = [g for g, lv in zip(self.gens, self.levels) if lv >= depth]
+        # generators are only appended, so the count names the set
+        cached = self.orbits.get(depth)
+        if cached is None or cached[0] != len(gens):
+            cached = self.orbits[depth] = (len(gens), _orbit_labels(self.v, gens))
+        return cached[1]
+
     def _pruned(self, cand: int, depth: int, processed: list[int]) -> bool:
         """True when cand lies in the orbit of an already-explored candidate
-        under the discovered stabilizer of the first path's depth-prefix."""
-        if self.chain is None or not processed:
-            return False
-        # the chain only grows, and only a new strong generator merges orbits
-        grown = len(self.chain.strong_gens)
-        cached = self.orbits.get(depth)
-        if cached is None or cached[0] != grown:
-            labels = _orbit_labels(self.v, self.chain.gens_at_level(depth))
-            cached = self.orbits[depth] = (grown, labels)
-        labels = cached[1]
+        under the found stabilizer of the first path's depth-prefix."""
+        labels = self._labels(depth)
         return bool((labels[processed] == labels[cand]).any())
 
     def _leaf(self, colours: np.ndarray, diverged_at: int) -> int | None:
         mapping = np.empty(self.v, dtype=np.intp)
         mapping[colours] = np.arange(self.v)
-        if self.chain is None:
+        if self.first_leaf is None:
             self.first_leaf = mapping
-            self.chain = StabilizerChain(self.v, base=self.first_path)
-            for s in self.seeds:
-                if self.chain.add_generator(s.images):
-                    self.found.append(s.images)
+            self._add_seeds()
             return None
         images = np.empty(self.v, dtype=np.intp)
         images[self.first_leaf] = mapping
@@ -337,11 +357,29 @@ class _Search:
         if automorphism_witness(self.g, perm) is not None:
             # refinement-equivalent leaf that is not an automorphism
             return None
-        if self.chain.add_generator(perm.images):
-            self.found.append(perm.images)
+        # it maps first_path[diverged_at] to a sibling outside the orbits of
+        # the candidates processed there, so the group grows
+        self.gens.append(perm.images)
+        self.levels.append(diverged_at)
+        self.found.append(perm.images)
         # everything else under this branch is generated by what is already
         # known, so resume at the deepest first-path ancestor
         return diverged_at
+
+    def _add_seeds(self) -> None:
+        """Sift the seeds into a chain based on the first path; its strong
+        generators start the pruning list."""
+        chain = StabilizerChain(self.v, base=self.first_path)
+        for s in self.seeds:
+            if chain.add_generator(s.images):
+                self.found.append(s.images)
+        if len(chain.base) > len(self.first_path):
+            raise RuntimeError(
+                "a seed moves a point although it fixes the first path, "
+                "which the discrete first leaf rules out"
+            )
+        self.gens = list(chain.strong_gens)
+        self.levels = list(chain.gen_level)
 
 
 def automorphism_group(
@@ -379,11 +417,10 @@ def automorphism_group(
     generators = _sorted_perms(search.found)
     for p in generators:
         _check_automorphism(g, p)
-    order = search.chain.order() if search.chain is not None else 1
     return AutResult(
-        order=order,
+        order=search.order(),
         generators=generators,
-        orbit_count=_orbit_count(g.v, generators),
+        orbit_count=search.orbit_count(),
         nodes_searched=search.nodes,
     )
 
@@ -399,11 +436,6 @@ def _orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
         return np.arange(v)
     points = np.tile(np.arange(v), len(gens))
     return _component_labels(v, points, np.concatenate(gens))
-
-
-def _orbit_count(v: int, gens: Sequence[Permutation]) -> int:
-    labels = _orbit_labels(v, [g.images for g in gens])
-    return int(np.count_nonzero(labels == np.arange(v)))
 
 
 def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -78,7 +79,19 @@ def _emit(payload: Any, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_budgets(args: argparse.Namespace) -> None:
+    """Refuse a negative node budget and a negative or non-finite time budget."""
+    if args.node_budget < 0:
+        raise UsageError(f"--node-budget must be at least 0, got {args.node_budget}")
+    if not (math.isfinite(args.time_budget) and args.time_budget >= 0):
+        raise UsageError(
+            f"--time-budget must be a finite number of seconds, at least 0, "
+            f"got {args.time_budget}"
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> tuple[Any, int]:
+    _check_budgets(args)
     config = PipelineConfig(
         deep=args.deep,
         aut_node_budget=args.node_budget,
@@ -197,6 +210,7 @@ def _cmd_product(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def _cmd_aut(args: argparse.Namespace) -> tuple[Any, int]:
+    _check_budgets(args)
     g = _load_graph(args.graph)
     if g.v > VERTEX_CEILING:
         raise UsageError(

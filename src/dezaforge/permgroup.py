@@ -130,14 +130,16 @@ class StabilizerChain:
     strong generator, so the chain is reproducible for a fixed generator
     order. A fixed base prefix may be supplied up front; gens_at_level(d)
     then generates exactly the pointwise stabilizer of those prefix points,
-    which the automorphism search relies on for orbit pruning. Transversals
-    only ever grow (existing representatives are never replaced), which
-    keeps already-processed Schreier generators valid.
+    which is how the automorphism search levels its seeds by its first
+    path. Transversals only ever grow (existing representatives are never
+    replaced), which keeps already-processed Schreier generators valid.
     """
 
     def __init__(self, degree: int, base: Sequence[int] = ()) -> None:
         self.degree = degree
-        self.identity = np.arange(degree)
+        self.identity = np.arange(degree, dtype=np.intp)
+        # residues are np.intp, so comparing bytes is an exact identity test
+        self._identity_bytes = self.identity.tobytes()
         self.base: list[int] = []
         # strong generator i is stored once, at the deepest level it fixes
         self.strong_gens: list[np.ndarray] = []
@@ -178,14 +180,14 @@ class StabilizerChain:
 
     def contains(self, g: Sequence[int]) -> bool:
         residue, _ = self.sift(g)
-        return np.array_equal(residue, self.identity)
+        return residue.tobytes() == self._identity_bytes
 
     # -- construction -------------------------------------------------------
 
     def add_generator(self, g: Sequence[int]) -> bool:
         """Sift g and, if new, extend the chain. Returns True if the group grew."""
         residue, level = self.sift(g)
-        if np.array_equal(residue, self.identity):
+        if residue.tobytes() == self._identity_bytes:
             return False
         self._insert(residue, level)
         self._complete()
@@ -256,7 +258,7 @@ class StabilizerChain:
                     # the orbit is closed under the level's generators
                     target_inv = tr[int(g[pt])][1]
                     residue, lvl = self.sift(target_inv[g[rep]], level + 1)
-                    if not np.array_equal(residue, self.identity):
+                    if residue.tobytes() != self._identity_bytes:
                         self._insert(residue, lvl)
                         restart = lvl
                         break
