@@ -265,10 +265,6 @@ class _Search:
             order *= int(np.count_nonzero(labels == labels[point]))
         return order
 
-    def orbit_count(self) -> int:
-        labels = self._labels(0)
-        return int(np.count_nonzero(labels == np.arange(self.v)))
-
     def _check_budget(self) -> None:
         self.nodes += 1
         over_nodes = self.nodes > self.node_budget
@@ -349,7 +345,18 @@ class _Search:
         mapping[colours] = np.arange(self.v)
         if self.first_leaf is None:
             self.first_leaf = mapping
-            self._add_seeds()
+            # the seeds' strong generators, levelled by the first path, start
+            # the pruning list; the chain keeps only the seeds that are new
+            chain = StabilizerChain(self.v, base=self.first_path)
+            for s in self.seeds:
+                if chain.add_generator(s.images):
+                    self.found.append(s.images)
+            if len(chain.base) > len(self.first_path):
+                raise RuntimeError(
+                    "a seed moves a point although it fixes the first path, "
+                    "which the discrete first leaf rules out"
+                )
+            self.gens, self.levels = list(chain.strong_gens), list(chain.gen_level)
             return None
         images = np.empty(self.v, dtype=np.intp)
         images[self.first_leaf] = mapping
@@ -365,21 +372,6 @@ class _Search:
         # everything else under this branch is generated by what is already
         # known, so resume at the deepest first-path ancestor
         return diverged_at
-
-    def _add_seeds(self) -> None:
-        """Sift the seeds into a chain based on the first path; its strong
-        generators start the pruning list."""
-        chain = StabilizerChain(self.v, base=self.first_path)
-        for s in self.seeds:
-            if chain.add_generator(s.images):
-                self.found.append(s.images)
-        if len(chain.base) > len(self.first_path):
-            raise RuntimeError(
-                "a seed moves a point although it fixes the first path, "
-                "which the discrete first leaf rules out"
-            )
-        self.gens = list(chain.strong_gens)
-        self.levels = list(chain.gen_level)
 
 
 def automorphism_group(
@@ -417,10 +409,12 @@ def automorphism_group(
     generators = _sorted_perms(search.found)
     for p in generators:
         _check_automorphism(g, p)
+    # all generators together: the depth-0 labels are Aut's orbits
+    labels = search._labels(0)
     return AutResult(
         order=search.order(),
         generators=generators,
-        orbit_count=search.orbit_count(),
+        orbit_count=int(np.count_nonzero(labels == np.arange(g.v))),
         nodes_searched=search.nodes,
     )
 
