@@ -72,12 +72,6 @@ class SpectrumClaim:
     def total(self) -> int:
         return sum(self.multiplicities)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "eigenvalues": self.eigenvalues,
-            "multiplicities": self.multiplicities,
-        }
-
 
 def _annihilator(a: np.ndarray, thetas: Sequence[int]) -> np.ndarray:
     """The exact product of (A - theta I) over thetas, left to right.
@@ -141,10 +135,12 @@ def multiplicities_from_moments(
 ) -> list[int]:
     """Solve sum_i m_i theta_i^j = traces[j] exactly over the rationals.
 
-    The first len(thetas) moments pin the solution (the Vandermonde matrix
-    of distinct nodes is invertible); any extra moments are checked for
-    consistency. Raises InconsistentClaimError unless the solution is a
-    nonnegative integer vector summing to v.
+    The first len(thetas) moments pin the solution in the Lagrange basis:
+    if c_ij are the coefficients of q_i(x) = prod_{k != i} (x - theta_k),
+    then sum_j c_ij traces[j] = m_i q_i(theta_i), and distinct nodes make
+    q_i(theta_i) nonzero. Extra moments are checked for consistency. Raises
+    InconsistentClaimError unless the solution is a nonnegative integer
+    vector summing to v.
     """
     ts = [int(t) for t in thetas]
     n = len(ts)
@@ -152,23 +148,14 @@ def multiplicities_from_moments(
         raise InconsistentClaimError("duplicate eigenvalues: singular system")
     if len(traces) < n:
         raise InconsistentClaimError("need at least as many moments as eigenvalues")
-    rows = [
-        [Fraction(t**j) for t in ts] + [Fraction(int(traces[j]))] for j in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise InconsistentClaimError("singular moment system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    solution = [rows[r][n] for r in range(n)]
     mults = []
-    for theta, m in zip(ts, solution):
+    for i, theta in enumerate(ts):
+        others = ts[:i] + ts[i + 1 :]
+        coeffs = [1]  # q_i, low to high
+        for other in others:
+            coeffs = [up - other * c for c, up in zip(coeffs + [0], [0] + coeffs)]
+        num = sum(c * int(t) for c, t in zip(coeffs, traces))
+        m = Fraction(num, math.prod(theta - other for other in others))
         if m.denominator != 1 or m < 0:
             raise InconsistentClaimError(
                 f"multiplicity of eigenvalue {theta} solves to {m}, "
@@ -331,33 +318,18 @@ def _local_minimal_polynomial(a: np.ndarray, seed: int) -> list[Fraction]:
 
 
 def _integer_roots(poly: list[Fraction], bound: int) -> list[int]:
-    """Integer roots of the polynomial, searched within [-bound, bound].
+    """The integers t in [-bound, bound], ascending, at which poly is zero.
 
-    Callers pass the maximum degree of the graph, which bounds the spectral
-    radius of its adjacency matrix.
+    Callers pass the graph's maximum degree, which bounds its spectral
+    radius. Denominators are cleared once; Horner's rule runs in Python ints.
     """
-    denom = 1
-    for c in poly:
-        denom = math.lcm(denom, c.denominator)
-    coeffs = [int(c * denom) for c in poly]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
+    denom = math.lcm(*(c.denominator for c in poly))
+    coeffs = [int(c * denom) for c in reversed(poly)]
     roots = []
-    low = 0
-    while low < len(coeffs) and coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append(0)
-        coeffs = coeffs[low:]
-    constant = abs(coeffs[0])
     for cand in range(-bound, bound + 1):
-        if cand == 0 or constant % abs(cand):
-            continue
         value = 0
-        for c in reversed(coeffs):
+        for c in coeffs:
             value = value * cand + c
         if value == 0:
             roots.append(cand)
-    return sorted(roots)
+    return roots

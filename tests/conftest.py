@@ -68,6 +68,15 @@ def unique_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gen(monkeypatch):
+    """bench/gen.py: closed-form graphs and their expected answers, built apart
+    from dezaforge. Skips without networkx, which the module imports."""
+    pytest.importorskip("networkx")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return pytest.importorskip("gen")
+
+
 @pytest.fixture(scope="session")
 def gamma():
     return build_graph("gamma")

@@ -1,5 +1,4 @@
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,10 +492,7 @@ def test_order_matches_brute_force_count(graph_and_relabelling):
         assert result.orbit_count == orbit_count
 
 
-def test_automorphism_group_matches_closed_forms(monkeypatch):
-    pytest.importorskip("networkx")
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    gen = pytest.importorskip("gen")
+def test_automorphism_group_matches_closed_forms(gen):
     family = gen.closed_form_family()
     assert len(family) == 18
     for i, e in enumerate(family):

@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dezaforge.graphcore import from_edges
+from dezaforge.certify import certify_srg
+from dezaforge.graphcore import Graph, from_edges
 from dezaforge.spectra import (
     InconsistentClaimError,
     SpectrumClaim,
+    _integer_roots,
     annihilation_check,
     certify_spectrum,
     discover_spectrum,
@@ -156,3 +162,120 @@ def test_power_traces_beyond_the_fourth_power():
     assert power_traces(kn, 30) == [(n - 1) ** j + (n - 1) * (-1) ** j for j in range(30)]
     for t in range(1, 5):
         assert power_traces(kn, t) == power_traces(kn, 30)[:t]
+
+
+def _reference_moments(thetas, traces, v):
+    """multiplicities_from_moments by Gauss-Jordan elimination, for the oracle test only."""
+    ts = [int(t) for t in thetas]
+    n = len(ts)
+    if len(set(ts)) != n:
+        raise InconsistentClaimError("duplicate eigenvalues: singular system")
+    if len(traces) < n:
+        raise InconsistentClaimError("need at least as many moments as eigenvalues")
+    rows = [
+        [Fraction(t**j) for t in ts] + [Fraction(int(traces[j]))] for j in range(n)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise InconsistentClaimError("singular moment system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    mults = []
+    for theta, m in zip(ts, [rows[r][n] for r in range(n)]):
+        if m.denominator != 1 or m < 0:
+            raise InconsistentClaimError(
+                f"multiplicity of eigenvalue {theta} solves to {m}, "
+                "not a nonnegative integer"
+            )
+        mults.append(int(m))
+    if sum(mults) != v:
+        raise InconsistentClaimError(
+            f"multiplicities sum to {sum(mults)}, not the vertex count {v}"
+        )
+    for j in range(n, len(traces)):
+        if sum(m * t**j for m, t in zip(mults, ts)) != int(traces[j]):
+            raise InconsistentClaimError(f"moment {j} is inconsistent")
+    return mults
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def moment_systems(draw):
+    """Distinct nodes, 0 to n + 2 traces of some multiplicities (negative ones
+    and one perturbed trace included), and a v that may not be their sum."""
+    thetas = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True))
+    n = len(thetas)
+    mults = draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n))
+    # too few traces is one failure; most draws have enough to be solved
+    count = draw(st.one_of(st.sampled_from([n + 2, n + 1, n]), st.integers(0, n - 1)))
+    traces = [sum(m * t**j for m, t in zip(mults, thetas)) for j in range(count)]
+    if traces and draw(st.booleans()):
+        traces[draw(st.sampled_from(range(count)))] += draw(st.integers(-5, 5).filter(bool))
+    v = draw(st.one_of(st.just(sum(mults)), st.integers(0, 300)))
+    return thetas, traces, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_systems())
+@example(([3, 1, -2], [10, 0, 30, 1], 10))  # petersen, tr A^3 = 0
+def test_moments_match_gauss_jordan(system):
+    assert _outcome(multiplicities_from_moments, *system) == _outcome(
+        _reference_moments, *system
+    )
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), unique=True, max_size=6),
+    # 1, x^2 - 2 and x^2 + x + 1, low to high: no integer roots
+    st.sampled_from([[1], [-2, 0, 1], [1, 1, 1]]),
+    st.fractions(-10, 10, max_denominator=50).filter(bool),
+    st.integers(0, 30),
+)
+@example([0, 3, -3], [-2, 0, 1], Fraction(-3, 7), 3)
+def test_integer_roots_are_the_planted_roots_in_the_bound(roots, irreducible, scale, bound):
+    poly = [Fraction(c) for c in irreducible]
+    for r in roots:
+        poly = _times(poly, [Fraction(-r), Fraction(1)])
+    got = _integer_roots([scale * c for c in poly], bound)
+    assert got == sorted(r for r in roots if abs(r) <= bound)
+
+
+def test_spectra_and_srg_match_closed_forms(gen):
+    family = [*gen.closed_form_family(), gen.isolated_plus_triangle()]
+    assert len(family) == 19
+    for i, e in enumerate(family):
+        g = Graph(gen.relabel(e, np.random.default_rng([19, i])).adj)
+        if e.spectrum is None:
+            with pytest.raises(InconsistentClaimError):
+                discover_spectrum(g)
+        else:
+            assert discover_spectrum(g).pairs == e.spectrum, e.name
+            claim = SpectrumClaim.from_pairs(e.spectrum)
+            assert certify_spectrum(g, claim).passed, e.name
+        if e.srg is not None:
+            cert = certify_srg(g)
+            # conference graphs: irrational r and s leave the fields None
+            (_, _), (r, f), (s, m) = e.spectrum or ((None, None),) * 3
+            assert cert.parameters == e.srg, e.name
+            assert (cert.r, cert.multiplicity_r, cert.s, cert.multiplicity_s) == (r, f, s, m)
