@@ -21,7 +21,6 @@ from .autiso import VERTEX_CEILING
 from .catalog import (
     AUT_ORDERS,
     GRAPH_NAMES,
-    UnknownGraphError,
     build_graph,
     involutions_for,
     known_generators,
@@ -63,8 +62,12 @@ def _load_graph(arg: str) -> Graph:
         return build_graph(arg)
     path = Path(arg)
     if path.is_file():
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read graph file {arg!r}: {exc}") from exc
         # one character per byte: a non-ASCII byte fails parsing at its offset
-        return from_graph6(path.read_bytes().decode("latin-1"), label=path.stem)
+        return from_graph6(data.decode("latin-1"), label=path.stem)
     raise UsageError(f"unknown graph name or file: {arg!r}")
 
 
@@ -74,7 +77,10 @@ def _emit(payload: Any, out: str | None) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -352,20 +358,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            # refuse before the work, which for `run` takes the whole pipeline
+            raise UsageError(
+                f"cannot write --out {out!r}: not a file in an existing directory"
+            )
         payload, code = args.handler(args)
+        _emit(payload, out)
     except UsageError as exc:
         print(f"dezaforge: error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownGraphError as exc:
-        print(f"dezaforge: error: unknown graph {exc.args[0]!r}", file=sys.stderr)
         return 2
     except Graph6ParseError as exc:
         print(f"dezaforge: error: graph6 parse failure: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, getattr(args, "out", None))
     return code
 
 

@@ -269,6 +269,48 @@ def test_unknown_graph_is_usage_error():
     assert main(["build", "not-a-graph"]) == 2
 
 
+@pytest.mark.parametrize("command", [["build", "c5"], ["run"]], ids=" ".join)
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_out_that_cannot_be_a_file_is_usage_error(command, target, tmp_path, capsys):
+    # this used to raise IsADirectoryError or FileNotFoundError, exit 1, and
+    # only after `run` had computed the whole pipeline
+    out = tmp_path if target == "directory" else tmp_path / "no" / "such" / "r.json"
+    assert main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dezaforge: error: cannot write --out {str(out)!r}")
+    assert not (tmp_path / "no").exists()
+
+
+def test_failed_out_write_is_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "c5.json"
+    assert main(["build", "c5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dezaforge: error: cannot write --out {str(out)!r}")
+    assert "Permission denied" in captured.err
+
+
+def test_unreadable_graph_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # root reads a chmod 000 file, so the refusal is simulated
+    path = tmp_path / "c5.g6"
+    path.write_text(to_graph6(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])))
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert main(["build", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dezaforge: error: cannot read graph file {str(path)!r}")
+    assert "Permission denied" in captured.err
+
+
 def test_malformed_graph6_is_parse_error(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("~~~~zzz\n")
