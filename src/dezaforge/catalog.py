@@ -33,7 +33,7 @@ from .graphcore import (
     lift_involution_to_product,
     strong_product_K2,
 )
-from .permgroup import Permutation, group_order, perm_from_matrix, translation_perm
+from .permgroup import Permutation, perm_from_matrix, translation_perm
 
 GRAPH_NAMES = (
     "gamma",
@@ -57,16 +57,12 @@ class UnknownGraphError(ValueError):
         )
 
 
-@lru_cache(maxsize=None)
-def matrix_group() -> np.ndarray:
-    """All 7920 matrices generated by the two embedded generators.
+def _closure(gens: np.ndarray) -> np.ndarray:
+    """The group that the stacked 5x5 GF(3) gens generate, sorted by entries.
 
-    A read-only (7920, 5, 5) int64 array, closed under right multiplication
-    one frontier at a time. np.unique on base-3 codes of the flattened
-    entries, first entry most significant, drops repeats and sorts by
-    flattened entries, so every downstream selection is deterministic.
+    Grown by right multiplication one frontier at a time; np.unique on base-3
+    codes of the flattened entries (first most significant) drops repeats.
     """
-    gens = np.stack([M11_GEN_A.array, M11_GEN_B.array])
     weights = 3 ** np.arange(24, -1, -1, dtype=np.int64)
     group = frontier = np.eye(5, dtype=np.int64)[None]
     while len(frontier):
@@ -76,6 +72,13 @@ def matrix_group() -> np.ndarray:
         # the sorted group comes first in merged, so new matrices index past it
         frontier = merged[first[first >= len(group)]]
         group = merged[first]
+    return group
+
+
+@lru_cache(maxsize=None)
+def matrix_group() -> np.ndarray:
+    """The group of the two embedded generators: a read-only (7920, 5, 5) array."""
+    group = _closure(np.stack([M11_GEN_A.array, M11_GEN_B.array]))
     group.setflags(write=False)
     return group
 
@@ -125,13 +128,10 @@ def centralizer_pair() -> tuple[GF3Matrix, GF3Matrix]:
     """First matrix pair generating the full order-48 switching centralizer."""
     x = switching_matrix().array
     group = matrix_group()
-    commutes = (group @ x % 3 == x @ group % 3).all(axis=(1, 2))
-    cent = [GF3Matrix(m) for m in group[commutes]]
-    perms = [perm_from_matrix(m) for m in cent]
-    target = len(cent)
+    cent = group[(group @ x % 3 == x @ group % 3).all(axis=(1, 2))]
     for i, j in itertools.combinations(range(len(cent)), 2):
-        if group_order([perms[i], perms[j]]) == target:
-            return (cent[i], cent[j])
+        if len(_closure(cent[[i, j]])) == len(cent):
+            return (GF3Matrix(cent[i]), GF3Matrix(cent[j]))
     raise AssertionError("centralizer is not generated by any matrix pair")
 
 

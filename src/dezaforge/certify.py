@@ -321,7 +321,8 @@ def certify_ddg(g: Graph) -> DdgCertificate:
     A divisible design graph splits into m classes of n vertices such that
     same-class pairs have lambda1 common neighbours and cross-class pairs
     lambda2. The candidate within-class relation is 'common neighbours = b';
-    if that fails, the symmetric assignment with the value a is tried.
+    if that fails, the symmetric assignment with the value a is tried, and
+    its failure is the one reported.
     """
     cert = DdgCertificate(v=g.v)
     deza = certify_deza(g)
@@ -331,8 +332,7 @@ def certify_ddg(g: Graph) -> DdgCertificate:
             "deza_failure": deza.failure,
         }
         return cert
-    for inside in (deza.b, deza.a):
-        outside = deza.a if inside == deza.b else deza.b
+    for inside, outside in ((deza.b, deza.a), (deza.a, deza.b)):
         result = _try_ddg_partition(g.v, g.square(), inside, outside)
         if isinstance(result, list):
             cert.m = len(result)
@@ -342,11 +342,8 @@ def certify_ddg(g: Graph) -> DdgCertificate:
             cert.partition = result
             cert.passed = True
             return cert
-        first_failure = result
-        if inside == deza.a:
-            cert.failure = first_failure
-    if cert.failure is None:
-        cert.failure = {"reason": "no divisible partition found"}
+    # a == b makes every pair one class, which passes at once: the failure is a's
+    cert.failure = result
     return cert
 
 

@@ -128,11 +128,13 @@ class StabilizerChain:
 
     Base points are chosen greedily as the smallest point moved by each new
     strong generator, so the chain is reproducible for a fixed generator
-    order. A fixed base prefix may be supplied up front; gens_at_level(d)
-    then generates exactly the pointwise stabilizer of those prefix points,
-    which is how the automorphism search levels its seeds by its first
-    path. Transversals only ever grow (existing representatives are never
-    replaced), which keeps already-processed Schreier generators valid.
+    order. A fixed base prefix may be supplied up front; the strong
+    generators whose gen_level is at least d then generate exactly the
+    pointwise stabilizer of the first d prefix points. The automorphism
+    search reads strong_gens and gen_level this way to level its seeds by
+    its first path. Transversals only ever grow (existing representatives
+    are never replaced), which keeps already-processed Schreier generators
+    valid.
     """
 
     def __init__(self, degree: int, base: Sequence[int] = ()) -> None:

@@ -13,7 +13,13 @@ from dezaforge.certify import (
     diameter,
     triangle_count,
 )
-from dezaforge.graphcore import complement, dual_seidel_switch, exact_matmul, from_edges
+from dezaforge.graphcore import (
+    Graph,
+    complement,
+    dual_seidel_switch,
+    exact_matmul,
+    from_edges,
+)
 
 
 def test_common_neighbors(petersen):
@@ -238,6 +244,31 @@ def test_certify_ddg_rejects_petersen(petersen):
     cert = certify_ddg(petersen)
     assert not cert.passed
     assert cert.failure
+
+
+def test_certify_ddg_reports_the_failure_of_the_a_attempt(gen, monkeypatch):
+    clebsch = Graph(gen.clebsch())  # SRG(16, 5, 0, 2): a = 0, b = 2
+    calls = []
+    attempt = certify._try_ddg_partition
+
+    def counted(v, n2, inside, outside):
+        calls.append((inside, outside))
+        return attempt(v, n2, inside, outside)
+
+    monkeypatch.setattr(certify, "_try_ddg_partition", counted)
+    cert = certify_ddg(clebsch)
+    assert calls == [(2, 0), (0, 2)]
+    assert not cert.passed
+    assert cert.failure == attempt(16, clebsch.square(), 0, 2)
+
+
+@pytest.mark.parametrize("name", ["rook-4", "shrikhande"])
+def test_certify_ddg_with_a_equal_to_b_is_one_class(gen, name):
+    # lambda = mu = 2: every pair shares 2 neighbours, so one class of all 16
+    (e,) = [e for e in gen.closed_form_family() if e.name == name]
+    cert = certify_ddg(Graph(e.adj))
+    assert cert.passed
+    assert (cert.m, cert.n, cert.lambda1, cert.lambda2) == (1, 16, 2, 2)
 
 
 def test_srg_feasibility_is_checked_under_optimization(run_optimized):
