@@ -162,28 +162,8 @@ def _refine(
         )
 
 
-def refine(g: Graph, colouring: Sequence[int]) -> list[int]:
-    """Coarsest equitable refinement of the colouring.
-
-    Vertices share a final colour iff they shared an initial colour and have
-    identical multisets of neighbour colours at every refinement round.
-    Colour numbering is deterministic (lexicographic in the per-round
-    signatures), so equal inputs give byte-equal outputs.
-    """
-    if len(colouring) != g.v:
-        raise ValueError("colouring length must equal the vertex count")
-    if g.v == 0:
-        return []
-    colours, _ = _canonical_ids(
-        np.asarray(list(colouring), dtype=np.int64).reshape(-1, 1)
-    )
-    src, dst = np.nonzero(g.adjacency)
-    colours, _ = _refine(src, dst, colours)
-    return [int(c) for c in colours]
-
-
-def pair_invariant_colouring(g: Graph) -> list[int]:
-    """Initial colouring from pair invariants.
+def _pair_invariant_colours(g: Graph) -> np.ndarray:
+    """Initial colouring of a graph with vertices, from pair invariants.
 
     Each vertex is keyed by the sorted multiset of (adjacency,
     common-neighbour count) pairs against all other vertices. Plain
@@ -191,13 +171,6 @@ def pair_invariant_colouring(g: Graph) -> list[int]:
     invariant separates, for example, the 27 reversal-fixed vertices of the
     switched graph from the other 216.
     """
-    if g.v == 0:
-        return []
-    return _pair_invariant_colours(g).tolist()
-
-
-def _pair_invariant_colours(g: Graph) -> np.ndarray:
-    """pair_invariant_colouring as an array, for a graph with vertices."""
     # encode the pair (adjacency bit, common-neighbour count) injectively
     key = g.adjacency * (g.v + 1) + g.square()
     np.fill_diagonal(key, -1)

@@ -16,17 +16,6 @@ import numpy as np
 from .graphcore import Graph, _component_labels, exact_matmul
 
 
-class InvalidPairError(ValueError):
-    """common_neighbors was asked about a vertex paired with itself."""
-
-
-def common_neighbors(g: Graph, u: int, w: int) -> int:
-    """Size of the intersection of the neighbourhoods of two distinct vertices."""
-    if u == w:
-        raise InvalidPairError("common neighbours need two distinct vertices")
-    return int((g.adjacency[u] & g.adjacency[w]).sum())
-
-
 def diameter(g: Graph) -> int | None:
     """Largest eccentricity, or None when the graph is disconnected.
 
@@ -52,15 +41,6 @@ def diameter(g: Graph) -> int | None:
         reached = reached | frontier
         dist += 1
     return dist
-
-
-def triangle_count(g: Graph) -> int:
-    """Number of triangles, as trace(A^3) / 6 in exact integers."""
-    # trace(A^3) = sum of A o A^2 <= v^3; numpy sums small unsigned ints in uint64
-    cube_trace = int(g.square()[g.adjacency].sum())
-    if cube_trace % 6:
-        raise ArithmeticError(f"trace(A^3) = {cube_trace} is not divisible by 6")
-    return cube_trace // 6
 
 
 @dataclass
@@ -246,13 +226,12 @@ class DezaCertificate:
         }
 
 
-def certify_deza(g: Graph) -> DezaCertificate:
-    """Check the Deza property: all distinct pairs share a or b neighbours.
+def _two_valued(g: Graph) -> DezaCertificate:
+    """The checks certify_deza and certify_ddg share: at least two vertices,
+    regularity, and at most two common-neighbour counts over distinct pairs.
 
-    Collects the distinct common-neighbour counts of g.square(). On success
-    the certificate also reports, from the same A^2, the per-vertex count of
-    b-partners (beta range), the diameter, and strictness (diameter 2 and
-    not strongly regular). An SRG passes as a Deza graph with strict = False.
+    Fills k, a and b (a == b for a single count), or the failure; never
+    sets passed.
     """
     cert = DezaCertificate(v=g.v)
     if g.v < 2:
@@ -272,12 +251,23 @@ def certify_deza(g: Graph) -> DezaCertificate:
             "witnesses": _pairs_with_values(n2, off, values[:3]),
         }
         return cert
-    if len(values) == 2:
-        a_val, b_val = int(values[0]), int(values[1])
-    else:
-        a_val = b_val = int(values[0])
-    cert.a, cert.b = a_val, b_val
-    beta = (off & (n2 == b_val)).sum(axis=1)
+    cert.a, cert.b = int(values[0]), int(values[-1])
+    return cert
+
+
+def certify_deza(g: Graph) -> DezaCertificate:
+    """Check the Deza property: all distinct pairs share a or b neighbours.
+
+    Collects the distinct common-neighbour counts of g.square(). On success
+    the certificate also reports, from the same A^2, the per-vertex count of
+    b-partners (beta range), the diameter, and strictness (diameter 2 and
+    not strongly regular). An SRG passes as a Deza graph with strict = False.
+    """
+    cert = _two_valued(g)
+    if cert.failure is not None:
+        return cert
+    off = ~np.eye(g.v, dtype=bool)
+    beta = (off & (g.square() == cert.b)).sum(axis=1)
     cert.beta_min = int(beta.min())
     cert.beta_max = int(beta.max())
     cert.diameter = diameter(g)
@@ -325,8 +315,8 @@ def certify_ddg(g: Graph) -> DdgCertificate:
     its failure is the one reported.
     """
     cert = DdgCertificate(v=g.v)
-    deza = certify_deza(g)
-    if not deza.passed:
+    deza = _two_valued(g)
+    if deza.failure is not None:
         cert.failure = {
             "reason": "not a regular two-valued graph",
             "deza_failure": deza.failure,

@@ -13,9 +13,9 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .autiso import VERTEX_CEILING
 from .catalog import (
@@ -111,9 +111,14 @@ def _cmd_build(args: argparse.Namespace) -> tuple[Any, int]:
     return graph_summary(_load_graph(args.graph)), 0
 
 
-def _cmd_certify(
-    args: argparse.Namespace, certify: Callable[[Graph], Any]
-) -> tuple[Any, int]:
+def _cmd_certify(args: argparse.Namespace) -> tuple[Any, int]:
+    # looked up at each call, not when the cached parser was built, so a
+    # wrapper installed over these module names later is the one that runs
+    certify = {
+        "certify-srg": certify_srg,
+        "certify-deza": certify_deza,
+        "certify-ddg": certify_ddg,
+    }[args.command]
     cert = certify(_load_graph(args.graph))
     return cert.to_json(), 0 if cert.passed else 1
 
@@ -275,7 +280,9 @@ def _add_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first main call and kept."""
     parser = argparse.ArgumentParser(
         prog="dezaforge",
         description="Exact certificates for the (243,22,1,2) family and its "
@@ -295,15 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(build)
     build.set_defaults(handler=_cmd_build)
 
-    for cmd, certify in (
-        ("certify-srg", certify_srg),
-        ("certify-deza", certify_deza),
-        ("certify-ddg", certify_ddg),
-    ):
+    for cmd in ("certify-srg", "certify-deza", "certify-ddg"):
         sub = subs.add_parser(cmd, help=f"{cmd.split('-')[1]} certificate")
         _add_graph_arg(sub)
         _add_out(sub)
-        sub.set_defaults(handler=partial(_cmd_certify, certify=certify))
+        sub.set_defaults(handler=_cmd_certify)
 
     spectrum = subs.add_parser("spectrum", help="certify a claimed spectrum or discover one")
     _add_graph_arg(spectrum)

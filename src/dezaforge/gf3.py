@@ -76,9 +76,6 @@ class GF3Matrix:
     def row(self, i: int) -> GFVector:
         return tuple(int(c) for c in self._a[i])
 
-    def column(self, j: int) -> GFVector:
-        return tuple(int(c) for c in self._a[:, j])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GF3Matrix)
@@ -100,25 +97,10 @@ def negate(m: GF3Matrix) -> GF3Matrix:
     return GF3Matrix((-m.array) % 3)
 
 
-def vector_to_index(v: Sequence[int]) -> int:
-    """Canonical vertex index of a vector: sum of coords[i] * 3^i.
-
-    Coordinate 0 is the least significant ternary digit.
-    """
-    t = _check_vector(v)
-    return sum(c * 3**i for i, c in enumerate(t))
-
-
-def index_to_vector(index: int, n: int) -> GFVector:
-    """Inverse of vector_to_index for vectors of length n."""
-    if not 0 <= index < 3**n:
-        raise InvalidElementError(f"index {index} out of range for 3^{n} vertices")
-    return tuple((index // 3**i) % 3 for i in range(n))
-
-
 @lru_cache(maxsize=8)
 def all_vectors(n: int) -> np.ndarray:
-    """All 3^n vectors as a (3^n, n) array, row i = index_to_vector(i, n)."""
+    """All 3^n vectors as a (3^n, n) array; row i holds the base-3 digits
+    of i, least significant first, so coordinate j of row i is i // 3^j % 3."""
     powers = 3 ** np.arange(n, dtype=np.int64)
     a = np.arange(3**n, dtype=np.int64)[:, None] // powers % 3
     a.setflags(write=False)
@@ -126,7 +108,7 @@ def all_vectors(n: int) -> np.ndarray:
 
 
 def indices_of(vectors: np.ndarray) -> np.ndarray:
-    """Vectorized vector_to_index over the rows of an integer array."""
+    """The canonical vertex index of each row: the sum of row[i] * 3^i."""
     n = vectors.shape[1]
     weights = 3 ** np.arange(n, dtype=np.int64)
     return vectors @ weights

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -80,13 +79,6 @@ class LinearCode:
         return min(
             sum(1 for x in w if x) for w in self.codewords if any(w)
         )
-
-    def weight_distribution(self) -> dict[int, int]:
-        dist: dict[int, int] = {}
-        for w in self.codewords:
-            weight = sum(1 for x in w if x)
-            dist[weight] = dist.get(weight, 0) + 1
-        return dist
 
 
 def code_from_parity_check(h: GF3Matrix) -> LinearCode:
@@ -164,17 +156,3 @@ def coset_graph(code: LinearCode) -> Graph:
 def reversal_perm(n: int = 5) -> Permutation:
     """Coordinate reversal (a,b,c,d,e) -> (e,d,c,b,a) on vertex indices."""
     return Permutation(indices_of(all_vectors(n)[:, ::-1]))
-
-
-def reversal_difference_shapes(s2: ConnectionSet) -> Iterator[GFVector]:
-    """All vectors of shape (a-e, b-d, 0, d-b, e-a) that lie in S2.
-
-    The reversal argument needs this to be empty: a vector v - v^r always
-    has that shape, and none of them is a connection vector, so the reversal
-    never swaps two adjacent vertices.
-    """
-    members = set(s2.vectors)
-    for a, b in itertools.product(range(3), range(3)):
-        shape = (a, b, 0, (-b) % 3, (-a) % 3)
-        if shape in members:
-            yield shape

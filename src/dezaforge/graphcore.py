@@ -78,12 +78,6 @@ class Graph:
             self._square.setflags(write=False)
         return self._square
 
-    def has_edge(self, u: int, w: int) -> bool:
-        return bool(self._adj[u, w])
-
-    def neighbors(self, u: int) -> list[int]:
-        return np.flatnonzero(self._adj[u]).tolist()
-
     def degree_sequence(self) -> list[int]:
         return self._adj.sum(axis=1).astype(int).tolist()
 
@@ -213,12 +207,6 @@ def cayley(n: int, s: gf3.ConnectionSet, label: str = "") -> Graph:
     return Graph(a, label)
 
 
-def complement(g: Graph) -> Graph:
-    a = ~g.adjacency
-    np.fill_diagonal(a, False)
-    return Graph(a, f"complement({g.label})" if g.label else "")
-
-
 def strong_product_K2(g: Graph, label: str = "") -> Graph:
     """Strong product with a single edge: each vertex is doubled.
 
@@ -286,21 +274,13 @@ def _adjacent_swaps(g: Graph, sigma: Permutation) -> int:
     return int(g.adjacency[np.arange(g.v), sigma.images].sum()) // 2
 
 
-def classify_involution_pairs(g: Graph, sigma: Permutation) -> dict[str, int]:
+def involution_pair_counts(g: Graph, sigma: Permutation) -> dict[str, int]:
     """Counts of fixed points and 2-cycles of an involutive automorphism.
 
     Each 2-cycle {u, sigma(u)} is classified by whether its endpoints are
-    adjacent. fixed + 2*(adjacent_swaps + nonadjacent_swaps) = v.
+    adjacent, so fixed + 2*(adjacent_swaps + nonadjacent_swaps) = v. sigma
+    is not checked here: callers pass one they have already checked.
     """
-    if not is_involution(sigma):
-        raise ValueError("sigma is not an involution")
-    if not is_automorphism(g, sigma):
-        raise ValueError("sigma is not an automorphism of the graph")
-    return involution_pair_counts(g, sigma)
-
-
-def involution_pair_counts(g: Graph, sigma: Permutation) -> dict[str, int]:
-    """classify_involution_pairs without its checks, for a checked sigma."""
     fixed = len(sigma.fixed_points())
     adjacent = _adjacent_swaps(g, sigma)
     return {
@@ -458,21 +438,3 @@ def from_graph6(text: str, label: str = "") -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Zero-based 'u w' lines, one edge per line, lexicographic order."""
     return "\n".join(f"{u} {w}" for u, w in g.edges()) + ("\n" if g.edge_count() else "")
-
-
-def from_edge_list(text: str, v: int | None = None, label: str = "") -> Graph:
-    """Parse 'u w' lines; vertex count defaults to max index + 1."""
-    edges = []
-    top = -1
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u w', got {line!r}")
-        u, w = int(parts[0]), int(parts[1])
-        edges.append((u, w))
-        top = max(top, u, w)
-    n = v if v is not None else top + 1
-    return from_edges(n, edges, label)

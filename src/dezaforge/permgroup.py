@@ -70,21 +70,6 @@ class Permutation:
         return self.images.tolist()
 
 
-def identity_perm(degree: int) -> Permutation:
-    return Permutation(range(degree))
-
-
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """Apply sigma first, then tau: result(i) = tau(sigma(i))."""
-    if sigma.degree != tau.degree:
-        raise NotAPermutationError("degree mismatch in compose")
-    return Permutation(tau.images[sigma.images])
-
-
-def inverse(sigma: Permutation) -> Permutation:
-    return Permutation(_inverse(sigma.images))
-
-
 def is_involution(sigma: Permutation) -> bool:
     """True iff sigma is not the identity and sigma squared is."""
     imgs = sigma.images
@@ -164,12 +149,6 @@ class StabilizerChain:
             o *= len(tr)
         return o
 
-    def gens_at_level(self, level: int) -> list[np.ndarray]:
-        """Strong generators of the pointwise stabilizer of base[:level]."""
-        return [
-            g for g, lv in zip(self.strong_gens, self.gen_level) if lv >= level
-        ]
-
     def sift(self, g: Sequence[int], start: int = 0) -> tuple[np.ndarray, int]:
         """Divide g through the transversals; return (residue, drop level)."""
         g = np.asarray(g, dtype=np.intp)
@@ -179,10 +158,6 @@ class StabilizerChain:
                 return g, lvl
             g = entry[1][g]
         return g, len(self.base)
-
-    def contains(self, g: Sequence[int]) -> bool:
-        residue, _ = self.sift(g)
-        return residue.tobytes() == self._identity_bytes
 
     # -- construction -------------------------------------------------------
 

@@ -9,6 +9,7 @@ the automorphism search exhausts its budget.
 import os
 import time
 
+import numpy as np
 import pytest
 
 from dezaforge.autiso import (
@@ -43,20 +44,19 @@ from dezaforge.golay import (
     reversal_perm,
 )
 from dezaforge.graphcore import (
+    Graph,
     cayley,
-    classify_involution_pairs,
-    complement,
     dual_seidel_switch,
     from_graph6,
-    is_automorphism,
     strong_product_K2,
     to_graph6,
 )
-from dezaforge.permgroup import group_order, is_involution, perm_from_matrix
+from dezaforge.permgroup import group_order, perm_from_matrix
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
     GAMMA_K2_SPECTRUM,
+    involution_row,
 )
 from dezaforge.spectra import SpectrumClaim, certify_spectrum
 
@@ -144,10 +144,11 @@ def test_criterion_04_group_orders_7920_and_3849120(announce):
 def test_criterion_05_switching_representatives(announce):
     start = time.perf_counter()
     gamma = build_graph("gamma")
-    rows = {
-        name: classify_involution_pairs(gamma, perm)
+    checked = {
+        name: involution_row(gamma, perm)
         for name, perm in involutions_for("gamma").items()
     }
+    rows = {name: row for name, (row, _) in checked.items()}
     only_non_adjacent = [
         n for n, r in rows.items() if r["adjacent_swaps"] == 0 and r["nonadjacent_swaps"] > 0
     ]
@@ -156,7 +157,8 @@ def test_criterion_05_switching_representatives(announce):
     ]
     elapsed = time.perf_counter() - start
     ok = (
-        len(only_non_adjacent) == 1
+        all(row_ok for _, row_ok in checked.values())
+        and len(only_non_adjacent) == 1
         and not only_adjacent
         and rows[only_non_adjacent[0]]["fixed"] == 27
     )
@@ -169,11 +171,10 @@ def test_criterion_06_reversal_involution(announce):
     start = time.perf_counter()
     gamma_s2 = build_graph("gamma-s2")
     rho = reversal_perm()
-    counts = classify_involution_pairs(gamma_s2, rho)
+    counts, involutive_automorphism = involution_row(gamma_s2, rho)
     elapsed = time.perf_counter() - start
     ok = (
-        is_involution(rho)
-        and is_automorphism(gamma_s2, rho)
+        involutive_automorphism
         and counts["adjacent_swaps"] == 0
         and counts["fixed"] == 27
     )
@@ -220,13 +221,14 @@ def test_criterion_09_switched_product_spectrum_differs(announce):
     start = time.perf_counter()
     gk2 = build_graph("gamma-k2")
     lifted = lifted_switching_involution()
-    counts = classify_involution_pairs(gk2, lifted)
+    counts, involutive_automorphism = involution_row(gk2, lifted)
     dk2 = dual_seidel_switch(gk2, lifted)
     cert = certify_deza(dk2)
     spectrum_cert = certify_spectrum(dk2, SpectrumClaim.from_pairs(DELTA_K2_SPECTRUM))
     elapsed = time.perf_counter() - start
     ok = (
-        counts["adjacent_swaps"] == 0
+        involutive_automorphism
+        and counts["adjacent_swaps"] == 0
         and cert.passed
         and cert.parameters == (486, 45, 44, 4)
         and cert.strict
@@ -304,7 +306,12 @@ def test_criterion_13_property_suites(announce):
     gamma = build_graph("gamma")
     srg_certs = [
         certify_srg(g)
-        for g in (gamma, build_graph("gamma-s2"), build_graph("petersen"), complement(gamma))
+        for g in (
+            gamma,
+            build_graph("gamma-s2"),
+            build_graph("petersen"),
+            Graph(~gamma.adjacency ^ np.eye(gamma.v, dtype=bool)),
+        )
     ]
     feasible = all(
         c.passed and c.k * (c.k - c.lam - 1) == (c.v - c.k - 1) * c.mu

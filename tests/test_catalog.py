@@ -26,8 +26,9 @@ from dezaforge.gf3 import (
     identity,
     mat_mul,
 )
-from dezaforge.graphcore import classify_involution_pairs, is_automorphism
-from dezaforge.permgroup import group_order, is_involution, perm_from_matrix
+from dezaforge.graphcore import is_automorphism
+from dezaforge.permgroup import Permutation, group_order, is_involution, perm_from_matrix
+from dezaforge.pipeline import involution_row
 
 
 def test_build_graph_names():
@@ -73,9 +74,10 @@ def test_gamma_involution_classifications(gamma):
         "negated-switching": {"fixed": 9, "adjacent_swaps": 27, "nonadjacent_swaps": 90},
     }
     for name, perm in involutions_for("gamma").items():
-        assert is_involution(perm)
-        assert is_automorphism(gamma, perm)
-        assert classify_involution_pairs(gamma, perm) == expected[name]
+        assert involution_row(gamma, perm) == (
+            {"is_automorphism": True, "is_involution": True, **expected[name]},
+            True,
+        )
 
 
 def test_all_registered_involutions_are_involutive_automorphisms():
@@ -87,21 +89,21 @@ def test_all_registered_involutions_are_involutive_automorphisms():
 
 
 def test_lifted_switching_classification(gamma_k2):
-    counts = classify_involution_pairs(gamma_k2, lifted_switching_involution())
-    assert counts == {"fixed": 54, "adjacent_swaps": 0, "nonadjacent_swaps": 216}
+    row, ok = involution_row(gamma_k2, lifted_switching_involution())
+    assert ok
+    assert (row["fixed"], row["adjacent_swaps"], row["nonadjacent_swaps"]) == (54, 0, 216)
 
 
 def test_petersen_and_c5_involutions(petersen, c5):
-    assert classify_involution_pairs(petersen, petersen_transposition()) == {
-        "fixed": 4,
-        "adjacent_swaps": 0,
-        "nonadjacent_swaps": 3,
-    }
-    assert classify_involution_pairs(c5, c5_reflection()) == {
-        "fixed": 1,
-        "adjacent_swaps": 1,
-        "nonadjacent_swaps": 1,
-    }
+    checked = {"is_automorphism": True, "is_involution": True}
+    assert involution_row(petersen, petersen_transposition()) == (
+        {**checked, "fixed": 4, "adjacent_swaps": 0, "nonadjacent_swaps": 3},
+        True,
+    )
+    assert involution_row(c5, c5_reflection()) == (
+        {**checked, "fixed": 1, "adjacent_swaps": 1, "nonadjacent_swaps": 1},
+        True,
+    )
 
 
 def test_known_generators_orders():
@@ -118,9 +120,8 @@ def test_centralizer_pair_commutes_with_switching():
 
 
 def test_negated_switching_is_the_composition():
-    from dezaforge.permgroup import compose
-
-    left = compose(negation_involution(), switching_involution())
+    # negation first, then switching
+    left = Permutation(switching_involution().images[negation_involution().images])
     assert left == negated_switching_involution()
 
 

@@ -9,24 +9,28 @@ from dezaforge.certify import (
     certify_ddg,
     certify_deza,
     certify_srg,
-    common_neighbors,
     diameter,
-    triangle_count,
 )
 from dezaforge.graphcore import (
     Graph,
-    complement,
     dual_seidel_switch,
     exact_matmul,
     from_edges,
 )
+from dezaforge.spectra import power_traces
+
+
+def _common(g, u, w):
+    """The common neighbours of u and w, counted from the adjacency rows."""
+    return int((g.adjacency[u] & g.adjacency[w]).sum())
 
 
 def test_common_neighbors(petersen):
+    square = petersen.square()
     for u in range(10):
         for w in range(u + 1, 10):
-            expect = 0 if petersen.has_edge(u, w) else 1
-            assert common_neighbors(petersen, u, w) == expect
+            expect = 0 if petersen.adjacency[u, w] else 1
+            assert square[u, w] == _common(petersen, u, w) == expect
 
 
 def test_diameter(petersen, c5):
@@ -67,10 +71,11 @@ def test_diameter_matches_networkx(g):
 
 
 def test_triangle_count(petersen, c5, gamma):
-    assert triangle_count(petersen) == 0
-    assert triangle_count(c5) == 0
+    # trace(A^3) is six times the triangle count
+    assert power_traces(petersen, 4)[3] == 0
+    assert power_traces(c5, 4)[3] == 0
     # every edge of an SRG(243,22,1,2) lies in exactly lambda=1 triangle
-    assert triangle_count(gamma) == gamma.edge_count() * 1 // 3
+    assert power_traces(gamma, 4)[3] == 6 * (gamma.edge_count() * 1 // 3)
 
 
 def test_certify_srg_petersen(petersen):
@@ -98,7 +103,8 @@ def test_certify_srg_conference_parameters(c5):
 
 
 def test_certify_srg_complement(gamma):
-    cert = certify_srg(complement(gamma))
+    complement = Graph(~gamma.adjacency ^ np.eye(gamma.v, dtype=bool))
+    cert = certify_srg(complement)
     assert cert.passed
     assert cert.parameters == (243, 220, 199, 200)
 
@@ -125,7 +131,7 @@ def test_certify_srg_failure_has_witness_pairs(delta):
     pairs = cert.failure.get("adjacent", []) + cert.failure.get("nonadjacent", [])
     assert pairs
     for p in pairs:
-        assert common_neighbors(delta, p["u"], p["w"]) == p["common"]
+        assert _common(delta, p["u"], p["w"]) == p["common"]
     # the first pair, row by row, for each of the two lowest counts
     assert cert.failure["adjacent"] == [
         {"u": 0, "w": 1, "common": 1},
@@ -262,6 +268,40 @@ def test_certify_ddg_reports_the_failure_of_the_a_attempt(gen, monkeypatch):
     assert cert.failure == attempt(16, clebsch.square(), 0, 2)
 
 
+def test_certify_ddg_computes_no_diameter_and_no_srg_certificate(
+    gamma_k2, delta_k2, monkeypatch
+):
+    # the partition needs a and b only; the diameter and strictness are
+    # certify_deza's, which the counters must see to be trusted
+    calls = []
+    for name in ("certify_srg", "diameter"):
+
+        def counted(g, name=name, real=getattr(certify, name)):
+            calls.append(name)
+            return real(g)
+
+        monkeypatch.setattr(certify, name, counted)
+    for g in (gamma_k2, delta_k2):
+        assert certify_ddg(g).passed
+    assert calls == []
+    certify_deza(gamma_k2)
+    assert calls == ["diameter", "certify_srg"]
+
+
+def test_certify_ddg_reports_the_deza_failure():
+    prism = from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )  # common-neighbour counts 0, 1 and 2
+    path = from_edges(3, [(0, 1), (1, 2)])
+    for g in (prism, path, from_edges(1, [])):
+        deza = certify_deza(g)
+        assert not deza.passed
+        assert certify_ddg(g).failure == {
+            "reason": "not a regular two-valued graph",
+            "deza_failure": deza.failure,
+        }
+
+
 @pytest.mark.parametrize("name", ["rook-4", "shrikhande"])
 def test_certify_ddg_with_a_equal_to_b_is_one_class(gen, name):
     # lambda = mu = 2: every pair shares 2 neighbours, so one class of all 16
@@ -288,18 +328,3 @@ def test_srg_feasibility_is_checked_under_optimization(run_optimized):
     """)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("False feasibility identity")
-
-
-def test_triangle_parity_is_checked_under_optimization(run_optimized):
-    result = run_optimized("""
-        from dezaforge import certify, graphcore
-        from dezaforge.catalog import build_graph
-        real = graphcore.exact_matmul
-        graphcore.exact_matmul = lambda left, right: real(left, right) + 1
-        try:
-            certify.triangle_count(build_graph("c5"))
-        except ArithmeticError as exc:
-            print("raised", exc)
-    """)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("raised trace(A^3) = 10")

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import json
 import shutil
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dezaforge import cli
 from dezaforge.autiso import VERTEX_CEILING
 from dezaforge.cli import main
 from dezaforge.graphcore import from_edges, to_graph6
@@ -59,6 +61,38 @@ def test_certify_deza_and_ddg(capsys):
     assert main(["certify-ddg", "gamma-k2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["parameters"] == {"v": 486, "m": 243, "n": 2, "lambda1": 44, "lambda2": 4}
+
+
+def test_second_main_call_builds_no_parser(capsys, monkeypatch):
+    main(["build", "c5"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["build", "c5"]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["certify-srg", "certify-deza", "certify-ddg"])
+def test_certify_calls_the_module_function_at_call_time(command, capsys, monkeypatch):
+    # a tracer wraps cli.certify_* after import and after the parser exists,
+    # and must still see the calls
+    main([command, "petersen"])
+    name = command.replace("-", "_")
+    calls = []
+    real = getattr(cli, name)
+
+    def traced(g):
+        calls.append(g.label)
+        return real(g)
+
+    monkeypatch.setattr(cli, name, traced)
+    main([command, "petersen"])
+    assert calls == ["petersen"]
 
 
 def test_spectrum_claim(capsys):

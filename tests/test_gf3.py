@@ -14,7 +14,6 @@ from dezaforge.gf3 import (
     fixed_space_basis,
     fixed_space_dimension,
     identity,
-    index_to_vector,
     indices_of,
     invert,
     kernel_basis,
@@ -23,28 +22,33 @@ from dezaforge.gf3 import (
     negate,
     orbit,
     rank,
-    vector_to_index,
 )
+from dezaforge.permgroup import translation_perm
 
 
 def test_vector_index_round_trip():
+    # the index of a vector is the sum of vector[i] * 3^i
     for n in (1, 2, 5):
-        for i in range(3**n):
-            assert vector_to_index(index_to_vector(i, n)) == i
+        vectors = all_vectors(n)
+        assert [sum(int(c) * 3**i for i, c in enumerate(row)) for row in vectors] == list(
+            range(3**n)
+        )
+        assert indices_of(vectors).tolist() == list(range(3**n))
 
 
 def test_vector_index_rejects_bad_entries():
+    # a translation turns its vector into vertex indices
     with pytest.raises(InvalidElementError):
-        vector_to_index((0, 3))
+        translation_perm((0, 3))
     with pytest.raises(InvalidElementError):
-        vector_to_index((0, -1))
+        translation_perm((0, -1))
 
 
 def test_all_vectors_matches_index_to_vector():
     a = all_vectors(3)
     assert a.shape == (27, 3)
     for i in range(27):
-        assert tuple(int(x) for x in a[i]) == index_to_vector(i, 3)
+        assert tuple(int(x) for x in a[i]) == tuple(i // 3**j % 3 for j in range(3))
 
 
 def test_indices_of_inverts_all_vectors():

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,19 +12,16 @@ from dezaforge.catalog import (
     petersen_transposition,
     switching_involution,
 )
-from dezaforge.certify import certify_deza, certify_srg, triangle_count
+from dezaforge.certify import certify_deza, certify_srg
 from dezaforge.gf3 import ConnectionSet, connection_set_s1
 from dezaforge.graphcore import (
     Graph,
     Graph6ParseError,
     SwitchingInapplicableError,
     cayley,
-    classify_involution_pairs,
-    complement,
     _product_path,
     dual_seidel_switch,
     exact_matmul,
-    from_edge_list,
     from_edges,
     from_graph6,
     is_automorphism,
@@ -35,6 +31,7 @@ from dezaforge.graphcore import (
     to_graph6,
 )
 from dezaforge.permgroup import Permutation
+from dezaforge.pipeline import involution_row
 from dezaforge.spectra import power_traces
 
 
@@ -59,10 +56,8 @@ def test_basic_queries(petersen):
     assert petersen.edge_count() == 15
     assert petersen.is_regular()
     assert petersen.degree() == 3
-    assert petersen.has_edge(*petersen.edges()[0])
-    assert sorted(petersen.neighbors(0)) == [
-        w for w in range(10) if petersen.has_edge(0, w)
-    ]
+    edges = petersen.edges()
+    assert len(edges) == 15 and all(u < w and petersen.adjacency[u, w] for u, w in edges)
 
 
 @pytest.mark.parametrize("v, dtype", [(254, np.uint8), (256, np.uint16)])
@@ -85,8 +80,7 @@ def test_square_is_compact_exact_and_read_only(v, dtype):
     deza = certify_deza(g)
     assert deza.parameters == (v, k, v - 2, v - 4)
     assert deza.diameter == 2 and not deza.strict
-    # trace(A^3) is far beyond the dtype; the sum must not wrap
-    assert triangle_count(g) == 8 * math.comb(n, 3)
+    # trace(A^3) = 6 * 8 * C(n, 3) is far beyond the dtype; no sum may wrap
     assert power_traces(g, 7) == [
         k**j + n * 0**j + (n - 1) * (-2) ** j for j in range(7)
     ]
@@ -106,24 +100,10 @@ def test_cayley_gamma_shape(gamma):
 
 
 def test_cayley_adjacency_is_difference_membership(gamma):
-    from dezaforge.gf3 import index_to_vector
-
     s1 = connection_set_s1()
     for u, w in ((0, 5), (17, 100), (12, 12)):
-        diff = tuple(
-            (a - b) % 3
-            for a, b in zip(index_to_vector(u, 5), index_to_vector(w, 5))
-        )
-        assert gamma.has_edge(u, w) == (diff in s1.vectors)
-
-
-def test_complement(c5):
-    cc = complement(c5)
-    assert cc.v == 5
-    assert cc.edge_count() == 5
-    for u in range(5):
-        for w in range(u + 1, 5):
-            assert c5.has_edge(u, w) != cc.has_edge(u, w)
+        diff = tuple((u // 3**i % 3 - w // 3**i % 3) % 3 for i in range(5))
+        assert gamma.adjacency[u, w] == (diff in s1.vectors)
 
 
 def test_is_automorphism(petersen, c5):
@@ -133,18 +113,23 @@ def test_is_automorphism(petersen, c5):
 
 
 def test_classify_involution_pairs(c5, gamma):
-    assert classify_involution_pairs(c5, c5_reflection()) == {
-        "fixed": 1,
-        "adjacent_swaps": 1,
-        "nonadjacent_swaps": 1,
-    }
-    swaps = classify_involution_pairs(gamma, switching_involution())
-    assert swaps == {"fixed": 27, "adjacent_swaps": 0, "nonadjacent_swaps": 108}
+    checked = {"is_automorphism": True, "is_involution": True}
+    assert involution_row(c5, c5_reflection()) == (
+        {**checked, "fixed": 1, "adjacent_swaps": 1, "nonadjacent_swaps": 1},
+        True,
+    )
+    assert involution_row(gamma, switching_involution()) == (
+        {**checked, "fixed": 27, "adjacent_swaps": 0, "nonadjacent_swaps": 108},
+        True,
+    )
 
 
 def test_classify_rejects_non_involution(c5):
-    with pytest.raises(ValueError):
-        classify_involution_pairs(c5, Permutation([1, 2, 3, 4, 0]))
+    # a rotation is an automorphism but not an involution: no pair counts
+    assert involution_row(c5, Permutation([1, 2, 3, 4, 0])) == (
+        {"is_automorphism": True, "is_involution": False},
+        False,
+    )
 
 
 def test_dual_seidel_switch_requires_non_adjacent_swaps(c5):
@@ -185,8 +170,8 @@ def test_dual_seidel_switch_tests_the_automorphism_once(gamma, witness_calls):
 def test_dual_seidel_switch_fixed_vertices_keep_their_rows(gamma, delta):
     sigma = switching_involution()
     for u in range(gamma.v):
-        expect = gamma.neighbors(u) if sigma(u) == u else gamma.neighbors(sigma(u))
-        assert delta.neighbors(u) == expect
+        expect = gamma.adjacency[u] if sigma(u) == u else gamma.adjacency[sigma(u)]
+        assert np.array_equal(delta.adjacency[u], expect)
 
 
 def test_dual_seidel_switch_is_self_inverse(petersen):
@@ -202,11 +187,11 @@ def test_strong_product_k2_shape(c5):
     assert g.degree() == 2 * 2 + 1
     # (u,i) ~ (w,j) iff u=w or u~w in the factor
     for u in range(5):
-        assert g.has_edge(2 * u, 2 * u + 1)
+        assert g.adjacency[2 * u, 2 * u + 1]
         for w in range(u + 1, 5):
             for i in (0, 1):
                 for j in (0, 1):
-                    assert g.has_edge(2 * u + i, 2 * w + j) == c5.has_edge(u, w)
+                    assert g.adjacency[2 * u + i, 2 * w + j] == c5.adjacency[u, w]
 
 
 def test_lift_involution_doubles_degree(gamma, gamma_k2):
@@ -214,8 +199,9 @@ def test_lift_involution_doubles_degree(gamma, gamma_k2):
     assert lifted.degree == 486
     assert is_automorphism(gamma_k2, lifted)
     assert lifted == lifted_switching_involution()
-    swaps = classify_involution_pairs(gamma_k2, lifted)
-    assert swaps == {"fixed": 54, "adjacent_swaps": 0, "nonadjacent_swaps": 216}
+    row, ok = involution_row(gamma_k2, lifted)
+    assert ok
+    assert (row["fixed"], row["adjacent_swaps"], row["nonadjacent_swaps"]) == (54, 0, 216)
 
 
 def test_switched_product_differs_from_product_of_switch(gamma, delta, delta_k2):
@@ -265,15 +251,10 @@ def test_graph6_strips_only_ascii_whitespace():
 
 def test_edge_list_round_trip(petersen):
     text = to_edge_list(petersen)
-    assert from_edge_list(text, v=10) == petersen
-    assert from_edge_list(text) == petersen
-
-
-def test_edge_list_parse_errors():
-    with pytest.raises(ValueError):
-        from_edge_list("0 1 2")
-    with pytest.raises(ValueError):
-        from_edge_list("0 x")
+    edges = [tuple(map(int, line.split())) for line in text.splitlines()]
+    assert edges == sorted(edges) and text.endswith("\n")
+    assert from_edges(10, edges) == petersen
+    assert to_edge_list(from_edges(3, [])) == ""
 
 
 def _object_product(left, right):

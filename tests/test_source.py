@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import dezaforge
@@ -43,3 +44,44 @@ def test_square_has_one_definition():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_every_public_name_is_used():
+    # each public function, class and method must be referenced in the
+    # package outside its own definition (import lines hold no Name nodes),
+    # or be named in backticks in the README; cli.main is exempt as the
+    # console-script entry point that pyproject.toml names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {span.removesuffix("()") for span in re.findall(r"`([^`]+)`", readme)}
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    uses = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    unused = []
+    for qualname, node in definitions:
+        if node.name.startswith("_") or qualname == "cli.main":
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if any(name == node.name and at not in inside for name, at in uses):
+            continue
+        if {node.name, qualname.split(".", 1)[1]} & documented:
+            continue
+        unused.append(qualname)
+    assert unused == []
