@@ -95,7 +95,10 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     basis = np.array(kernel_basis(h), dtype=np.int64).reshape(-1, h.cols)
     dim = len(basis)
     words = all_vectors(dim) @ basis % 3
-    distinct = len(np.unique(words, axis=0))
+    # counted in sorted order: np.unique loads numpy.ma, and base-3 codes of
+    # the words would wrap int64 from length 40 on
+    ordered = words[np.lexsort(words.T)]
+    distinct = 1 + np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1))
     if distinct != 3**dim:
         raise ArithmeticError(f"kernel basis spans {distinct} words, not 3^{dim}")
     outside = np.flatnonzero((words @ h.array.T % 3).any(axis=1))

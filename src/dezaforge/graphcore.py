@@ -15,6 +15,7 @@ from . import gf3
 from .permgroup import Permutation, is_involution
 
 
+_FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -124,15 +125,17 @@ def _abs_max(x: np.ndarray) -> int:
 
 
 def _product_path(left: np.ndarray, right: np.ndarray) -> str:
-    """Arithmetic that computes left @ right exactly: float64, int64 or object.
+    """Arithmetic that computes left @ right exactly: float32, float64, int64
+    or object.
 
     Every partial sum of entry (i, k) is a sum of some of the terms
     left[i, j] * right[j, k], so its absolute value is at most the absolute
     row sum of left times the largest absolute entry of right. The bound is
-    formed in Python ints, so it cannot wrap. Below 2^53 every term, partial
-    sum and input entry that matters is an integer float64 holds exactly, in
-    whatever order BLAS adds (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
-    59 (2012)); up to the int64 maximum int64 cannot overflow.
+    formed in Python ints, so it cannot wrap. Below 2^p, for p the significand
+    bits of a float format (24 for float32, 53 for float64), every term,
+    partial sum and input entry that matters is an integer that format holds
+    exactly, in whatever order BLAS adds (Ozaki, Ogita, Oishi & Rump, Numer.
+    Algorithms 59 (2012)); up to the int64 maximum int64 cannot overflow.
     """
     if left.dtype == object or right.dtype == object:
         return "object"
@@ -148,6 +151,8 @@ def _product_path(left: np.ndarray, right: np.ndarray) -> str:
             bound = rows * right_max
         else:
             bound = left_max * inner * right_max
+    if bound < _FLOAT32_EXACT:
+        return "float32"
     if bound < _FLOAT64_EXACT:
         return "float64"
     if bound <= _INT64_MAX:
@@ -158,13 +163,14 @@ def _product_path(left: np.ndarray, right: np.ndarray) -> str:
 def exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Exact product of integer (or boolean) arrays, int64 or object dtype.
 
-    Uses float64 BLAS when a bound proves the product exact there, int64
-    when it cannot overflow, and Python integers in object arrays otherwise.
+    Uses float32 or float64 BLAS when a bound proves the product exact in
+    that format, int64 when it cannot overflow, and Python integers in
+    object arrays otherwise.
     """
     path = _product_path(left, right)
-    if path == "float64":
-        lf = left.astype(np.float64)
-        rf = lf if right is left else right.astype(np.float64)
+    if path in ("float32", "float64"):
+        lf = left.astype(path)
+        rf = lf if right is left else right.astype(path)
         return (lf @ rf).astype(np.int64)
     if path == "int64":
         return left.astype(np.int64, copy=False) @ right.astype(np.int64, copy=False)

@@ -129,12 +129,6 @@ class Report:
     def overall_pass(self) -> bool:
         return all(stage.passed for stage in self.stages)
 
-    def stage(self, name: str) -> StageResult:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "schema": SCHEMA,

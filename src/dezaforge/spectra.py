@@ -4,14 +4,18 @@ A claimed spectrum is proved in two independent stages, neither of which
 touches floating point:
 
   * annihilation: the product of (A - theta I) over the claimed eigenvalues
-    is the zero matrix, so the spectrum is contained in the claim;
+    is the zero matrix, so the spectrum is contained in the claim. The
+    factors are paired into quadratics A^2 - (x + y) A + xy I read from the
+    graph's memoised A^2, so d eigenvalues cost ceil(d/2) - 1 products;
   * moments: the claimed multiplicities are the unique solution of the
     Vandermonde system built from exact power traces, so containment is
     sharpened to equality.
 
-Every matrix product goes through graphcore.exact_matmul, which proves a
-bound on its partial sums in Python integers and picks float64 BLAS, int64
-or Python-integer object arrays accordingly.
+Discovery finds the candidate eigenvalues as integer roots of local minimal
+polynomials, computed by fraction-free elimination of Krylov vectors in
+Python integers. Every matrix product goes through graphcore.exact_matmul,
+which proves a bound on its partial sums in Python integers and picks
+float32 or float64 BLAS, int64 or Python-integer object arrays accordingly.
 """
 
 from __future__ import annotations
@@ -73,31 +77,47 @@ class SpectrumClaim:
         return sum(self.multiplicities)
 
 
-def _annihilator(a: np.ndarray, thetas: Sequence[int]) -> np.ndarray:
-    """The exact product of (A - theta I) over thetas, left to right.
+def _annihilator(g: Graph, thetas: Sequence[int]) -> np.ndarray:
+    """The exact product of (A - theta I) over thetas.
 
-    a is the int64 adjacency matrix; its zero diagonal makes each factor a
-    copy of a with -theta on the diagonal, held in Python integers when
-    theta does not fit int64.
+    Factors are taken in pairs, each read from A^2 = g.square() with no
+    product: (A - x I)(A - y I) = A^2 - (x + y) A + xy I. An odd last theta
+    is a factor A - theta I of its own. The factors commute, so d thetas
+    cost ceil(d/2) - 1 products, and each factor is built just before it is
+    multiplied. A factor is held in Python integers when the bound
+    |x + y| + |xy| + v on its entries (|theta| for a single one) does not
+    fit int64.
     """
-    product = np.eye(a.shape[0], dtype=np.int64)
-    for index, theta in enumerate(thetas):
-        factor = a.copy() if abs(theta) <= _INT64_MAX else a.astype(object)
-        np.fill_diagonal(factor, -theta)
-        product = factor if index == 0 else exact_matmul(product, factor)
-    return product
+    v = g.v
+    product = None
+    for index in range(0, len(thetas), 2):
+        pair = thetas[index : index + 2]
+        if len(pair) == 2:
+            total, prod = pair[0] + pair[1], pair[0] * pair[1]
+            fits = abs(total) + abs(prod) + v <= _INT64_MAX
+            factor = g.square().astype(np.int64 if fits else object)
+            factor[g.adjacency] -= total
+            factor.flat[:: v + 1] += prod
+        else:
+            factor = g.int_adjacency()
+            if abs(pair[0]) > _INT64_MAX:
+                factor = factor.astype(object)
+            factor.flat[:: v + 1] = -pair[0]
+        product = factor if product is None else exact_matmul(product, factor)
+        del factor  # so that no more than two v x v operands are ever live
+    return np.eye(v, dtype=np.int64) if product is None else product
 
 
 def annihilation_check(g: Graph, thetas: Sequence[int]) -> bool:
     """True iff the product of (A - theta I) over thetas is exactly zero.
 
     A true result proves that every eigenvalue of A lies in thetas. Factors
-    are multiplied left to right in the order given.
+    are paired in the order given (see _annihilator).
     """
     ts = [int(t) for t in thetas]
     if len(set(ts)) != len(ts):
         raise InconsistentClaimError("eigenvalues must be pairwise distinct")
-    return not np.any(_annihilator(g.int_adjacency(), ts))
+    return not np.any(_annihilator(g, ts))
 
 
 def _entry_dot(x: np.ndarray, y: np.ndarray) -> int:
@@ -277,7 +297,7 @@ def discover_spectrum(g: Graph) -> SpectrumClaim:
             )
         candidates.update(roots)
         thetas = sorted(candidates, reverse=True)
-        residue = _annihilator(a, thetas)
+        residue = _annihilator(g, thetas)
         missed = np.flatnonzero(residue.any(axis=0))
         if missed.size == 0:
             break
@@ -290,30 +310,34 @@ def discover_spectrum(g: Graph) -> SpectrumClaim:
 def _local_minimal_polynomial(a: np.ndarray, seed: int) -> list[Fraction]:
     """Monic polynomial (coefficients low to high) annihilating A at e_seed.
 
-    Reduces the Krylov vectors e, Ae, A^2 e, ... against each other with
-    exact rational elimination; the first dependence gives the polynomial.
+    Reduces the Krylov vectors e, Ae, A^2 e, ... against each other by
+    fraction-free elimination (Bareiss, Math. Comp. 22 (1968)): a vector and
+    its combination of powers are cross-multiplied with a reduced one, then
+    divided together by the gcd of their entries, all in Python integers.
+    The first dependence gives the polynomial, made monic once at the end;
+    the monic local minimal polynomial is unique.
     """
     v = a.shape[0]
-    basis: list[tuple[list[Fraction], list[Fraction]]] = []
+    basis: list[tuple[int, np.ndarray, np.ndarray]] = []
     vec = np.zeros(v, dtype=np.int64)
     vec[seed] = 1
-    power = 0
-    while power <= v:
-        combo = [Fraction(0)] * power + [Fraction(1)]
-        residual = [Fraction(int(x)) for x in vec]
-        for reduced, rc in basis:
-            lead = next(i for i in range(v) if reduced[i] != 0)
-            if residual[lead] == 0:
+    for power in range(v + 1):
+        combo = np.zeros(power + 1, dtype=object)
+        combo[power] = 1
+        residual = vec.astype(object)
+        for lead, reduced, rc in basis:
+            r, p = residual[lead], reduced[lead]
+            if r == 0:
                 continue
-            factor = residual[lead] / reduced[lead]
-            residual = [x - factor * y for x, y in zip(residual, reduced)]
-            for i, c in enumerate(rc):
-                combo[i] -= factor * c
-        if all(x == 0 for x in residual):
-            return combo
-        basis.append((residual, combo))
+            residual = p * residual - r * reduced
+            combo *= p
+            combo[: len(rc)] -= r * rc
+        nonzero = np.flatnonzero(residual)
+        if nonzero.size == 0:
+            return [Fraction(c, combo[-1]) for c in combo]
+        common = math.gcd(*residual[nonzero], *combo)
+        basis.append((int(nonzero[0]), residual // common, combo // common))
         vec = exact_matmul(a, vec)
-        power += 1
     raise AssertionError("Krylov iteration exceeded the space dimension")
 
 

@@ -30,10 +30,11 @@ def witness_calls(monkeypatch):
 
 @pytest.fixture
 def matmul_calls(monkeypatch):
-    """(module, square) for every exact_matmul call, by any module's name for it.
+    """(module, square, shape) for every exact_matmul call, by any module's
+    name for it.
 
     square is the left operand when the call multiplies an array by itself,
-    and None otherwise; other operands are not kept.
+    and None otherwise; other operands are not kept. shape is the product's.
     """
     calls = []
     matmul = graphcore.exact_matmul
@@ -42,8 +43,9 @@ def matmul_calls(monkeypatch):
         name = module.__name__.rsplit(".", 1)[-1]
 
         def counted(left, right):
-            calls.append((name, left if left is right else None))
-            return matmul(left, right)
+            product = matmul(left, right)
+            calls.append((name, left if left is right else None, product.shape))
+            return product
 
         return counted
 

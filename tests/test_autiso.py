@@ -405,7 +405,7 @@ def test_unseeded_search_multiplies_only_for_the_square(gamma, matmul_calls):
     assert automorphism_group(relabelled).order == 3_849_120
     # refinement counts over the edge list; the one product is Graph.square's
     assert len(matmul_calls) == 1
-    module, square = matmul_calls[0]
+    module, square, _ = matmul_calls[0]
     assert module == "graphcore" and square is relabelled.adjacency
 
 

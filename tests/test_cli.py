@@ -468,3 +468,15 @@ def test_non_utf8_graph_file_is_a_parse_error(tmp_path, capsys):
     assert main(["certify-srg", str(path)]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert "invalid sixbit byte" in last and last.endswith("(byte offset 1)")
+
+
+def test_run_does_not_load_numpy_ma(tmp_path):
+    # importing numpy.ma costs a fresh process 12-16 ms; np.unique loads it
+    script = (
+        "import sys\n"
+        "from dezaforge.cli import main\n"
+        f"code = main(['run', '--deep', '--out', {str(tmp_path / 'run.json')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -263,6 +263,13 @@ def _object_product(left, right):
 
 def test_exact_matmul_paths_at_the_thresholds():
     one = np.array([[1]], dtype=np.int64)
+    assert _product_path(np.array([[2**24 - 1]], dtype=np.int64), one) == "float32"
+    assert _product_path(np.array([[2**24]], dtype=np.int64), one) == "float64"
+    # 2^24 + 1 is the first integer float32 cannot hold
+    left = np.array([[2**23, 2**23, 1]], dtype=np.int64)
+    right = np.ones((3, 1), dtype=np.int64)
+    assert _product_path(left, right) == "float64"
+    assert exact_matmul(left, right).tolist() == [[2**24 + 1]]
     below = np.array([[2**53 - 1]], dtype=np.int64)
     at = np.array([[2**53]], dtype=np.int64)
     int64_max = np.array([[2**63 - 1]], dtype=np.int64)
@@ -304,10 +311,10 @@ def test_exact_matmul_dtypes(petersen):
 
 @st.composite
 def _near_threshold(draw):
-    """Integer matrices whose product bound lands near 2^53, 2^63 or 2^64."""
+    """Integer matrices whose product bound lands near 2^24, 2^53, 2^63 or 2^64."""
     rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
-    target = draw(st.sampled_from([2**53, 2**63, 2**64]))
-    left_max = draw(st.integers(1, 2**40))
+    target = draw(st.sampled_from([2**24, 2**53, 2**63, 2**64]))
+    left_max = draw(st.integers(1, min(2**40, target)))
     right_max = max(1, target // (left_max * inner)) + draw(st.integers(-2, 2))
     right_max = min(2**63 - 1, max(1, right_max))
 

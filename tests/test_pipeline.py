@@ -38,6 +38,11 @@ SHALLOW_STAGES = [
 ]
 
 
+def stage(report, name):
+    """The stage of the report with this name."""
+    return next(s for s in report.stages if s.name == name)
+
+
 @pytest.fixture(scope="module")
 def shallow_report():
     return run_pipeline(PipelineConfig())
@@ -77,12 +82,6 @@ def test_report_json_schema(shallow_report):
     json.dumps(out)  # serializable end to end
 
 
-def test_stage_accessor(shallow_report):
-    assert shallow_report.stage("golay-code").passed
-    with pytest.raises(KeyError):
-        shallow_report.stage("no-such-stage")
-
-
 def test_spectrum_constants_are_the_published_values():
     assert DELTA_SPECTRUM == ((22, 1), (5, 48), (4, 72), (-4, 60), (-5, 62))
     assert GAMMA_K2_SPECTRUM == ((45, 1), (9, 132), (-1, 243), (-9, 110))
@@ -91,7 +90,7 @@ def test_spectrum_constants_are_the_published_values():
 
 
 def test_theorem_stage_details(shallow_report):
-    cert = shallow_report.stage("theorem-representatives").certificate
+    cert = stage(shallow_report, "theorem-representatives").certificate
     assert cert["exactly_one_only_non_adjacent"]
     assert cert["no_only_adjacent"]
     assert cert["non_adjacent_representative_fixes_27"]
@@ -100,7 +99,7 @@ def test_theorem_stage_details(shallow_report):
 
 
 def test_subgroup_stage_details(shallow_report):
-    cert = shallow_report.stage("subgroup-orders").certificate
+    cert = stage(shallow_report, "subgroup-orders").certificate
     assert cert["matrix_generators_order"] == 7920
     assert cert["full_seed_order"] == 3_849_120
 
@@ -110,25 +109,25 @@ def test_deep_run_adds_aut_stages():
     names = [s.name for s in report.stages]
     assert "aut-delta" in names and "aut-gamma" in names
     assert report.overall_pass
-    assert report.stage("aut-delta").certificate["order"] == 2592
-    assert report.stage("aut-gamma").certificate["order"] == 3_849_120
-    assert not report.stage("aut-delta").certificate["lower_bound_only"]
+    assert stage(report, "aut-delta").certificate["order"] == 2592
+    assert stage(report, "aut-gamma").certificate["order"] == 3_849_120
+    assert not stage(report, "aut-delta").certificate["lower_bound_only"]
 
 
 def test_deep_run_budget_exhaustion_soft_passes():
     report = run_pipeline(PipelineConfig(deep=True, aut_node_budget=2))
     for name, expected in (("aut-delta", 2592), ("aut-gamma", 3_849_120)):
-        stage = report.stage(name)
-        assert stage.passed
-        assert stage.certificate["lower_bound_only"] is True
-        assert stage.certificate["lower_bound"] == expected
+        result = stage(report, name)
+        assert result.passed
+        assert result.certificate["lower_bound_only"] is True
+        assert result.certificate["lower_bound"] == expected
     assert report.overall_pass
 
 
 def test_corrupted_s1_fails_with_witness():
     report = run_pipeline(PipelineConfig(s1_override=corrupted_s1()))
     assert not report.overall_pass
-    srg = report.stage("certify-srg-gamma")
+    srg = stage(report, "certify-srg-gamma")
     assert not srg.passed
     witnesses = srg.certificate["witnesses"]
     assert witnesses["reason"] == "common-neighbour count not constant"
@@ -136,8 +135,8 @@ def test_corrupted_s1_fails_with_witness():
     # the run still executes to completion
     assert [s.name for s in report.stages] == SHALLOW_STAGES
     # and the stages that do not depend on S1 still pass
-    assert report.stage("certify-srg-gamma-s2").passed
-    assert report.stage("golay-code").passed
+    assert stage(report, "certify-srg-gamma-s2").passed
+    assert stage(report, "golay-code").passed
 
 
 def test_config_echo_round_trip():
@@ -160,10 +159,18 @@ def test_involution_row_tests_the_automorphism_once(gamma, witness_calls):
 def test_deep_run_squares_each_graph_once(matmul_calls):
     report = run_pipeline(PipelineConfig(deep=True))
     assert report.overall_pass
-    squares = [(module, a) for module, a in matmul_calls if a is not None]
+    squares = [(module, a) for module, a, _ in matmul_calls if a is not None]
     # gamma, gamma-s2, delta, gamma-k2 and delta-k2, one A^2 each, by Graph.square
     assert sorted(a.shape[0] for _, a in squares) == [243, 243, 243, 486, 486]
     assert len({id(a) for _, a in squares}) == 5
     assert {module for module, _ in squares} == {"graphcore"}
     # every graph of the run has diameter 2, which A^2 settles without a product
-    assert not any(module == "certify" for module, _ in matmul_calls)
+    assert not any(module == "certify" for module, _, _ in matmul_calls)
+
+
+def test_deep_run_spectrum_stages_make_five_products(matmul_calls):
+    assert run_pipeline(PipelineConfig(deep=True)).overall_pass
+    # the (1, 1) products are power_traces' entrywise sums
+    full = [s[0] for module, _, s in matmul_calls if module == "spectra" and s != (1, 1)]
+    # delta and delta-k2 have 5 eigenvalues (2 products each), gamma-k2 4 (1)
+    assert sorted(full) == [243, 243, 486, 486, 486]

@@ -49,8 +49,10 @@ def test_square_has_one_definition():
 def test_every_public_name_is_used():
     # each public function, class and method must be referenced in the
     # package outside its own definition (import lines hold no Name nodes),
-    # or be named in backticks in the README; cli.main is exempt as the
-    # console-script entry point that pyproject.toml names
+    # or be named in backticks in the README; a method counts as referenced
+    # only through an attribute, as a bare name of the same spelling is some
+    # other binding; cli.main is exempt as the console-script entry point
+    # that pyproject.toml names
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = {span.removesuffix("()") for span in re.findall(r"`([^`]+)`", readme)}
     trees = {
@@ -58,7 +60,11 @@ def test_every_public_name_is_used():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     uses = [
-        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        (
+            node.id if isinstance(node, ast.Name) else node.attr,
+            id(node),
+            isinstance(node, ast.Attribute),
+        )
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
@@ -67,19 +73,22 @@ def test_every_public_name_is_used():
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((f"{module}.{node.name}", node))
+                definitions.append((f"{module}.{node.name}", node, False))
             if isinstance(node, ast.ClassDef):
                 definitions += [
-                    (f"{module}.{node.name}.{item.name}", item)
+                    (f"{module}.{node.name}.{item.name}", item, True)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                 ]
     unused = []
-    for qualname, node in definitions:
+    for qualname, node, method in definitions:
         if node.name.startswith("_") or qualname == "cli.main":
             continue
         inside = {id(n) for n in ast.walk(node)}
-        if any(name == node.name and at not in inside for name, at in uses):
+        if any(
+            name == node.name and at not in inside and (attribute or not method)
+            for name, at, attribute in uses
+        ):
             continue
         if {node.name, qualname.split(".", 1)[1]} & documented:
             continue

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dezaforge.certify import certify_srg
 from dezaforge.graphcore import Graph, from_edges
 from dezaforge.spectra import (
     InconsistentClaimError,
     SpectrumClaim,
+    _annihilator,
     _integer_roots,
+    _local_minimal_polynomial,
     annihilation_check,
     certify_spectrum,
     discover_spectrum,
@@ -279,3 +282,71 @@ def test_spectra_and_srg_match_closed_forms(gen):
             (_, _), (r, f), (s, m) = e.spectrum or ((None, None),) * 3
             assert cert.parameters == e.srg, e.name
             assert (cert.r, cert.multiplicity_r, cert.s, cert.multiplicity_s) == (r, f, s, m)
+
+
+@st.composite
+def small_graphs(draw):
+    v = draw(st.integers(1, 12))
+    upper = np.triu(draw(arrays(np.bool_, (v, v), elements=st.booleans())), 1)
+    return Graph(upper | upper.T)
+
+
+# small eigenvalues, and ones whose pair sums and products leave int64
+THETAS = st.integers(-6, 6) | st.sampled_from([2**32, -(2**62), 2**63, -(2**63) - 1, 10**20])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.lists(THETAS, min_size=1, max_size=6, unique=True))
+@example(Graph(np.ones((3, 3), dtype=bool) ^ np.eye(3, dtype=bool)), [2, -1])
+def test_annihilator_equals_the_product_of_linear_factors(g, thetas):
+    a = g.adjacency.astype(object)
+    want = np.eye(g.v, dtype=np.int64).astype(object)
+    for theta in thetas:
+        want = want @ (a - theta * np.eye(g.v, dtype=np.int64).astype(object))
+    got = _annihilator(g, thetas)
+    assert got.shape == (g.v, g.v)
+    assert got.tolist() == want.tolist()
+
+
+def _reference_local_minimal_polynomial(a, seed):
+    """_local_minimal_polynomial by elimination in Fraction lists, for the
+    oracle test only."""
+    v = a.shape[0]
+    basis = []
+    vec = np.zeros(v, dtype=np.int64)
+    vec[seed] = 1
+    power = 0
+    while power <= v:
+        combo = [Fraction(0)] * power + [Fraction(1)]
+        residual = [Fraction(int(x)) for x in vec]
+        for reduced, rc in basis:
+            lead = next(i for i in range(v) if reduced[i] != 0)
+            if residual[lead] == 0:
+                continue
+            factor = residual[lead] / reduced[lead]
+            residual = [x - factor * y for x, y in zip(residual, reduced)]
+            for i, c in enumerate(rc):
+                combo[i] -= factor * c
+        if all(x == 0 for x in residual):
+            return combo
+        basis.append((residual, combo))
+        vec = a.astype(object) @ vec.astype(object)
+        power += 1
+    raise AssertionError("Krylov iteration exceeded the space dimension")
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_local_minimal_polynomial_matches_fraction_elimination(g):
+    a = g.int_adjacency()
+    for seed in range(g.v):
+        assert _local_minimal_polynomial(a, seed) == _reference_local_minimal_polynomial(a, seed)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_certify_spectrum_makes_a_product_per_pair_after_the_first(petersen, matmul_calls, d):
+    claim = SpectrumClaim.from_pairs([(3, 11 - d)] + [(3 - i, 1) for i in range(1, d)])
+    certify_spectrum(petersen, claim)
+    products = sum(module == "spectra" and shape == (10, 10) for module, _, shape in matmul_calls)
+    # annihilation makes ceil(d/2) - 1; power_traces one per odd moment past the fourth
+    assert products == (d + 1) // 2 - 1 + max(0, (d - 4) // 2)
