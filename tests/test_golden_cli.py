@@ -37,9 +37,16 @@ INVOCATIONS = [
         for budget in ([], ["--node-budget", "1"], ["--node-budget", "5"])
     ),
     *(["aut", "{tmp}/" + name + "-relabelled.g6"] for name in RELABELLED),
+    ["aut", "{tmp}/delta-relabelled.g6", "--node-budget", "1"],
+    ["aut", "{tmp}/delta-relabelled.g6", "--node-budget", "20"],
+    ["build", "gamma-s2"],
     ["involutions", "gamma"],
+    ["involutions", "gamma-s2"],
     ["switch", "gamma"],
+    ["switch", "gamma", "--involution", "negation"],
+    ["certify-ddg", "delta-k2"],
     ["iso", "s1", "s2"],
+    ["iso", "s2", "s1"],
     ["spectrum", "delta"],
     *(
         ["export", name, "--format", "graph6"]
