@@ -28,32 +28,32 @@ import numpy as np
 from .gf3 import (
     ConnectionSet,
     GF3Matrix,
+    _row_reduce,
     all_vectors,
     indices_of,
     invert,
     mat_mul,
-    rank,
 )
 from .graphcore import Graph, _component_labels, automorphism_witness
 from .permgroup import Permutation, StabilizerChain, group_order
 
 VERTEX_CEILING = 1024
+# the search budget of every caller: the library, the pipeline and the CLI
+NODE_BUDGET = 2_000_000
+TIME_BUDGET = 1800.0
 
 
 class SearchBudgetError(RuntimeError):
     """The automorphism search ran out of nodes or time.
 
-    Carries the node count, the generators verified so far, and the exact
-    order of the subgroup they generate, which is a certified lower bound
-    on the full automorphism group order.
+    Carries the node count and the exact order of the subgroup generated by
+    the automorphisms verified so far, which is a certified lower bound on
+    the full automorphism group order.
     """
 
-    def __init__(
-        self, nodes: int, lower_bound: int, generators: list[Permutation]
-    ) -> None:
+    def __init__(self, nodes: int, lower_bound: int) -> None:
         self.nodes = nodes
         self.lower_bound = lower_bound
-        self.generators = generators
         super().__init__(
             f"search stopped after {nodes} nodes; |Aut| >= {lower_bound} "
             "from the generators found so far"
@@ -87,14 +87,10 @@ class AutResult:
     orbit_count: int
     nodes_searched: int
 
-    @property
-    def generator_count(self) -> int:
-        return len(self.generators)
-
     def to_json(self) -> dict[str, Any]:
         return {
             "order": self.order,
-            "generator_count": self.generator_count,
+            "generator_count": len(self.generators),
             "generators": [g.to_json() for g in self.generators],
             "orbit_count": self.orbit_count,
             "nodes_searched": self.nodes_searched,
@@ -117,19 +113,16 @@ def _canonical_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _refine(
-    src: np.ndarray,
-    dst: np.ndarray,
-    colours: np.ndarray,
-    a2: np.ndarray | None = None,
+    src: np.ndarray, dst: np.ndarray, colours: np.ndarray, a2: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Equitable refinement with deterministic, covariant colour numbering.
 
     src and dst list the directed edges (both orientations of every edge), so
     each round counts neighbour colours with one bincount over the edge list.
-    When a2 (the common-neighbour count matrix) is supplied, rows are also
-    keyed by the counts against every singleton class, which cracks strongly
-    regular graphs after the first individualization. colours must use every
-    id in [0, max] and comes back unchanged once it is equitable.
+    Rows are also keyed by the common-neighbour counts a2 against every
+    singleton class, which cracks strongly regular graphs after the first
+    individualization. colours must use every id in [0, max] and comes back
+    unchanged once it is equitable.
     """
     v = colours.size
     if v == 0:
@@ -139,21 +132,13 @@ def _refine(
         counts = np.bincount(
             src * ncol + colours[dst], minlength=v * ncol
         ).reshape(v, ncol)
-        pieces = [counts]
-        if a2 is not None:
-            sizes = np.bincount(colours, minlength=ncol)
-            singleton_ids = np.flatnonzero(sizes == 1)
-            if singleton_ids.size:
-                order = np.argsort(colours, kind="stable")
-                singleton_verts = order[
-                    np.searchsorted(colours[order], singleton_ids)
-                ]
-                pieces.append(a2[:, singleton_verts])
-        rest = np.column_stack(pieces) if len(pieces) > 1 else counts
-        # the old colour leads the ranking, so a column constant inside every
-        # old class changes neither the order nor the equalities of the rows
+        # rep[c] is a vertex of colour c, the only one when c is a singleton
         rep = np.empty(ncol, dtype=np.intp)
         rep[colours] = np.arange(v)
+        singletons = rep[np.bincount(colours, minlength=ncol) == 1]
+        rest = np.column_stack([counts, a2[:, singletons]])
+        # the old colour leads the ranking, so a column constant inside every
+        # old class changes neither the order nor the equalities of the rows
         splits = (rest != rest[rep[colours]]).any(axis=0)
         if not splits.any():
             return colours, ncol
@@ -204,7 +189,7 @@ class _Search:
         self,
         g: Graph,
         node_budget: int,
-        time_budget: float | None,
+        time_budget: float,
         seeds: list[Permutation],
     ) -> None:
         self.g = g
@@ -212,9 +197,7 @@ class _Search:
         self.a2 = g.square()
         self.v = g.v
         self.node_budget = node_budget
-        self.deadline = (
-            time.monotonic() + time_budget if time_budget is not None else None
-        )
+        self.deadline = time.monotonic() + time_budget
         self.seeds = seeds
         self.nodes = 0
         self.first_path: list[int] = []
@@ -240,15 +223,11 @@ class _Search:
 
     def _check_budget(self) -> None:
         self.nodes += 1
-        over_nodes = self.nodes > self.node_budget
-        over_time = self.deadline is not None and time.monotonic() > self.deadline
-        if over_nodes or over_time:
+        if self.nodes > self.node_budget or time.monotonic() > self.deadline:
             # mid-search the levels need not form a strong generating set,
             # so the bound comes from one chain built here
-            found = _sorted_perms(self.found)
-            raise SearchBudgetError(
-                self.nodes - 1, group_order(self.seeds + found), found
-            )
+            found = [Permutation(p) for p in self.found]
+            raise SearchBudgetError(self.nodes - 1, group_order(self.seeds + found))
 
     def _dfs(
         self,
@@ -350,8 +329,8 @@ class _Search:
 def automorphism_group(
     g: Graph,
     seeds: Iterable[Permutation] | None = None,
-    node_budget: int = 1_000_000,
-    time_budget: float | None = None,
+    node_budget: int = NODE_BUDGET,
+    time_budget: float = TIME_BUDGET,
 ) -> AutResult:
     """Generators and exact order of Aut(g) by individualization-refinement.
 
@@ -367,8 +346,6 @@ def automorphism_group(
         )
     seed_list: list[Permutation] = []
     for s in seeds or []:
-        if s.degree != g.v:
-            raise ValueError("seed degree does not match the graph")
         _check_automorphism(g, s)
         if not s.is_identity():
             seed_list.append(s)
@@ -423,12 +400,13 @@ def find_linear_cayley_isomorphism(
 ) -> GF3Matrix | None:
     """Invertible L over GF(3) with Sa . L = Sb, or None if there is none.
 
-    Fixes a basis inside Sa greedily (in sorted vector order) and runs a
-    depth-first search over members of Sb, in sorted order, as the basis
-    images. L carries Sa onto Sb iff every nonzero x has xL nonzero and in
-    Sb exactly when x is in Sa. Depth d checks this, for all candidates at
-    once, on every x whose top basis coordinate is d, so each nonzero vector
-    is checked once and the first surviving full assignment is returned.
+    Fixes a basis inside Sa greedily in sorted vector order (the pivot
+    columns of the members stacked as columns) and runs a depth-first search
+    over members of Sb, in sorted order, as the basis images. L carries Sa
+    onto Sb iff every nonzero x has xL nonzero and in Sb exactly when x is
+    in Sa. Depth d checks this, for all candidates at once, on every x whose
+    top basis coordinate is d, so each nonzero vector is checked once and
+    the first surviving full assignment is returned.
     Before the search, u.(xL) = (uL^T).x gives an invariant: L keeps the
     multiset of how many members each linear functional leaves nonzero.
     None does not prove the Cayley graphs non-isomorphic: only linear
@@ -440,11 +418,7 @@ def find_linear_cayley_isomorphism(
         return None
     n = sa.dimension
     rows_a, rows_b = (np.array(sorted(s.vectors)) for s in (sa, sb))
-    basis = rows_a[:0]
-    for vec in rows_a:
-        grown = np.vstack([basis, vec])
-        if len(basis) < n and rank(GF3Matrix(grown)) == len(grown):
-            basis = grown
+    basis = rows_a[_row_reduce(rows_a.T)[1]]
     if len(basis) < n:
         raise ValueError("connection set does not span the space")
 

@@ -20,7 +20,6 @@ from .gf3 import (
     M11_GEN_B,
     connection_set_s1,
     fixed_space_basis,
-    fixed_space_dimension,
     identity,
     negate,
 )
@@ -99,7 +98,7 @@ def switching_matrix() -> GF3Matrix:
     if not involutions.size:
         raise AssertionError("matrix group contains no involution")
     m = GF3Matrix(group[involutions[0]])
-    fixed = fixed_space_dimension(m)
+    fixed = len(fixed_space_basis(m))
     if fixed != 3:
         raise ArithmeticError(
             f"switching involution fixes a space of dimension {fixed}, not 3"
@@ -179,9 +178,9 @@ def c5_reflection() -> Permutation:
 def build_graph(name: str) -> Graph:
     """Construct a named graph; raises UnknownGraphError otherwise."""
     if name == "gamma":
-        return cayley(5, connection_set_s1(), label="gamma")
+        return cayley(connection_set_s1(), label="gamma")
     if name == "gamma-s2":
-        return cayley(5, connection_set_S2(), label="gamma-s2")
+        return cayley(connection_set_S2(), label="gamma-s2")
     if name == "delta":
         return dual_seidel_switch(
             build_graph("gamma"), switching_involution(), label="delta"

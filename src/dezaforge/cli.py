@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
-from .autiso import VERTEX_CEILING
+from .autiso import NODE_BUDGET, TIME_BUDGET, VERTEX_CEILING
 from .catalog import (
     AUT_ORDERS,
     GRAPH_NAMES,
@@ -170,6 +170,8 @@ def _cmd_involutions(args: argparse.Namespace) -> tuple[Any, int]:
 
 def _pick_involution(name: str, requested: str | None):
     registry = involutions_for(name)
+    if not registry:
+        raise UsageError(f"graph {name!r} has no registered involution")
     if requested is not None:
         if requested not in registry:
             raise UsageError(
@@ -276,6 +278,11 @@ def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("graph", help="named graph or path to a graph6 file")
 
 
+def _add_budgets(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--node-budget", type=int, default=NODE_BUDGET)
+    sub.add_argument("--time-budget", type=float, default=TIME_BUDGET)
+
+
 def _add_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
@@ -292,8 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="full pipeline, one JSON report")
     run.add_argument("--deep", action="store_true", help="also compute exact Aut orders")
-    run.add_argument("--node-budget", type=int, default=2_000_000)
-    run.add_argument("--time-budget", type=float, default=1800.0)
+    _add_budgets(run)
     _add_out(run)
     run.set_defaults(handler=_cmd_run)
 
@@ -334,8 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     aut = subs.add_parser("aut", help="automorphism group order by seeded refinement search")
     _add_graph_arg(aut)
-    aut.add_argument("--node-budget", type=int, default=2_000_000)
-    aut.add_argument("--time-budget", type=float, default=1800.0)
+    _add_budgets(aut)
     _add_out(aut)
     aut.set_defaults(handler=_cmd_aut)
 

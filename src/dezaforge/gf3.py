@@ -170,14 +170,6 @@ def invert(m: GF3Matrix) -> GF3Matrix:
     return GF3Matrix(reduced[:, n:])
 
 
-def fixed_space_dimension(m: GF3Matrix) -> int:
-    """Dimension of the space of vectors fixed by v -> v*M.
-
-    The number of fixed vectors is 3 to this power.
-    """
-    return len(fixed_space_basis(m))
-
-
 def kernel_basis(m: GF3Matrix) -> list[GFVector]:
     """Basis of the right kernel {v : M v = 0} over GF(3)."""
     reduced, pivots = _row_reduce(m.array)

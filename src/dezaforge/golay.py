@@ -153,9 +153,9 @@ def coset_graph(code: LinearCode) -> Graph:
     h = code.parity_check
     eye = np.eye(code.length, dtype=np.int64)
     syndromes = np.concatenate([eye, 2 * eye]) @ h.array.T % 3
-    return cayley(h.rows, ConnectionSet.from_vectors(syndromes), label="golay-coset")
+    return cayley(ConnectionSet.from_vectors(syndromes), label="golay-coset")
 
 
-def reversal_perm(n: int = 5) -> Permutation:
+def reversal_perm() -> Permutation:
     """Coordinate reversal (a,b,c,d,e) -> (e,d,c,b,a) on vertex indices."""
-    return Permutation(indices_of(all_vectors(n)[:, ::-1]))
+    return Permutation(indices_of(all_vectors(5)[:, ::-1]))

@@ -79,9 +79,6 @@ class Graph:
             self._square.setflags(write=False)
         return self._square
 
-    def degree_sequence(self) -> list[int]:
-        return self._adj.sum(axis=1).astype(int).tolist()
-
     def is_regular(self) -> bool:
         degs = self._adj.sum(axis=1)
         return bool((degs == degs[0]).all()) if self.v else True
@@ -193,18 +190,14 @@ def from_edges(v: int, edges: Iterable[tuple[int, int]], label: str = "") -> Gra
 # ---------------------------------------------------------------------------
 
 
-def cayley(n: int, s: gf3.ConnectionSet, label: str = "") -> Graph:
-    """Cayley graph of (V(n,3), +) with connection set s.
+def cayley(s: gf3.ConnectionSet, label: str = "") -> Graph:
+    """Cayley graph of (V(n,3), +) with connection set s, n = s.dimension.
 
     Vertices are the canonical ternary indices; i ~ j iff vector(i) -
     vector(j) lies in s. The result is |s|-regular.
     """
-    if s.dimension != n:
-        raise gf3.InvalidConnectionSetError(
-            f"connection set dimension {s.dimension} != {n}"
-        )
-    v = 3**n
-    vv = gf3.all_vectors(n)
+    v = 3**s.dimension
+    vv = gf3.all_vectors(s.dimension)
     a = np.zeros((v, v), dtype=bool)
     rows = np.arange(v)
     for vec in s:

@@ -46,9 +46,6 @@ class Permutation:
     def degree(self) -> int:
         return self.images.size
 
-    def __call__(self, i: int) -> int:
-        return int(self.images[i])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and np.array_equal(
             self.images, other.images
@@ -79,11 +76,13 @@ def is_involution(sigma: Permutation) -> bool:
 
 
 def perm_from_matrix(m: gf3.GF3Matrix) -> Permutation:
-    """Permutation of the 3^n vertex indices realizing v -> v*M."""
+    """Permutation of the 3^n vertex indices realizing v -> v*M.
+
+    A singular M maps two vectors together, which Permutation refuses; a
+    wide M with zero extra columns would pass it, so the shape is checked.
+    """
     if m.rows != m.cols:
         raise NotAPermutationError("only square matrices act on the vertex set")
-    if gf3.rank(m) != m.rows:
-        raise NotAPermutationError("singular matrix does not permute the vectors")
     vv = gf3.all_vectors(m.rows)
     return Permutation(gf3.indices_of(vv @ m.array % 3))
 

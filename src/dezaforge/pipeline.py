@@ -21,6 +21,8 @@ from typing import Any, Callable
 
 from . import __version__
 from .autiso import (
+    NODE_BUDGET,
+    TIME_BUDGET,
     SearchBudgetError,
     automorphism_group,
     find_linear_cayley_isomorphism,
@@ -87,8 +89,8 @@ class PipelineConfig:
     """
 
     deep: bool = False
-    aut_node_budget: int = 2_000_000
-    aut_time_budget: float | None = 1800.0
+    aut_node_budget: int = NODE_BUDGET
+    aut_time_budget: float = TIME_BUDGET
     s1_override: ConnectionSet | None = None
 
     def echo(self) -> dict[str, Any]:
@@ -191,7 +193,7 @@ def golay_checks() -> Check:
         "minimum_distance": code.minimum_distance(),
         "signed_columns": len(s2),
         "pair_sums_cover": pair_sums_cover(s2),
-        "coset_graph_matches_cayley": coset_graph(code) == cayley(5, s2),
+        "coset_graph_matches_cayley": coset_graph(code) == cayley(s2),
     }
     ok = (
         checks["dimension"] == 6
@@ -209,7 +211,7 @@ def aut_check(
     seeds: list[Permutation],
     expected: int | None,
     node_budget: int,
-    time_budget: float | None,
+    time_budget: float,
 ) -> Check:
     """|Aut(g)| by seeded search, checked against the expected order.
 
@@ -258,7 +260,7 @@ class _Context:
 
 
 def _build(ctx: _Context, key: str, connection_set: ConnectionSet) -> Check:
-    g = cayley(5, connection_set, label=key)
+    g = cayley(connection_set, label=key)
     ctx.objects[key] = g
     return graph_summary(g), g.v == 243 and g.is_regular()
 

@@ -283,7 +283,7 @@ def discover_spectrum(g: Graph) -> SpectrumClaim:
     if g.v == 0:
         raise InconsistentClaimError("empty graph has no spectrum")
     a = g.int_adjacency()
-    max_degree = max(int(d) for d in g.degree_sequence())
+    max_degree = int(g.adjacency.sum(axis=1).max())
     candidates: set[int] = set()
     seed = 0
     while True:

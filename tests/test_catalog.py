@@ -22,7 +22,7 @@ from dezaforge.gf3 import (
     GF3Matrix,
     M11_GEN_A,
     M11_GEN_B,
-    fixed_space_dimension,
+    fixed_space_basis,
     identity,
     mat_mul,
 )
@@ -64,7 +64,7 @@ def test_matrix_group_order():
 def test_switching_matrix_is_involution_with_27_fixed_vectors():
     x = switching_matrix()
     assert mat_mul(x, x) == identity(5)
-    assert fixed_space_dimension(x) == 3  # 3^3 = 27 fixed vertices
+    assert len(fixed_space_basis(x)) == 3  # 3^3 = 27 fixed vertices
 
 
 def test_gamma_involution_classifications(gamma):
@@ -133,7 +133,7 @@ def test_involutions_for_unknown():
 def test_switching_matrix_fixed_space_is_checked_under_optimization(run_optimized):
     result = run_optimized("""
         from dezaforge import catalog
-        catalog.fixed_space_dimension = lambda m: 2
+        catalog.fixed_space_basis = lambda m: [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
         try:
             catalog.switching_matrix()
         except ArithmeticError as exc:

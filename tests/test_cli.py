@@ -1,5 +1,6 @@
 import argparse
 import importlib.metadata
+import inspect
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dezaforge import cli
-from dezaforge.autiso import VERTEX_CEILING
+from dezaforge.autiso import NODE_BUDGET, TIME_BUDGET, VERTEX_CEILING, automorphism_group
 from dezaforge.cli import main
 from dezaforge.graphcore import from_edges, to_graph6
 from dezaforge.pipeline import PipelineConfig, run_pipeline
@@ -155,6 +156,17 @@ def test_switch_unknown_involution_is_usage_error():
     assert main(["switch", "gamma", "--involution", "mystery"]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--involution", "switching"]], ids=repr)
+def test_switch_on_a_graph_without_involutions_says_so(extra, capsys):
+    # delta-k2 has no registered involution, so there is nothing to choose from
+    assert main(["switch", "delta-k2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dezaforge: error: graph 'delta-k2' has no registered involution\n"
+    )
+
+
 def test_product(capsys):
     assert main(["product", "c5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -216,6 +228,26 @@ def test_invalid_budget_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in captured.err
+
+
+def test_every_caller_shares_one_search_budget():
+    library = inspect.signature(automorphism_group).parameters
+    budgets = {
+        "automorphism_group": (
+            library["node_budget"].default,
+            library["time_budget"].default,
+        ),
+        "PipelineConfig": (
+            PipelineConfig().aut_node_budget,
+            PipelineConfig().aut_time_budget,
+        ),
+    }
+    for command in ("run", "aut"):
+        args = cli._build_parser().parse_args(
+            [command] if command == "run" else [command, "c5"]
+        )
+        budgets[command] = (args.node_budget, args.time_budget)
+    assert set(budgets.values()) == {(NODE_BUDGET, TIME_BUDGET)}
 
 
 def test_zero_budgets_are_legal(capsys):

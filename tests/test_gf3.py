@@ -12,7 +12,6 @@ from dezaforge.gf3 import (
     all_vectors,
     connection_set_s1,
     fixed_space_basis,
-    fixed_space_dimension,
     identity,
     indices_of,
     invert,
@@ -100,7 +99,6 @@ def test_kernel_basis_spans_kernel():
 
 
 def test_fixed_space_of_identity_is_everything():
-    assert fixed_space_dimension(identity(4)) == 4
     assert len(fixed_space_basis(identity(4))) == 4
 
 
@@ -108,7 +106,7 @@ def test_fixed_space_basis_vectors_are_fixed():
     for m in (M11_GEN_A, M11_GEN_B):
         for t in fixed_space_basis(m):
             assert mat_vec_mul(t, m) == t
-    assert fixed_space_dimension(negate(identity(5))) == 0
+    assert fixed_space_basis(negate(identity(5))) == []
 
 
 def test_m11_generators_are_invertible():

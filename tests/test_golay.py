@@ -83,7 +83,7 @@ def test_pair_sums_cover_fails_for_s1_like_corruption():
 
 def test_coset_graph_equals_cayley(gamma_s2):
     code = code_from_parity_check(parity_check_H())
-    assert coset_graph(code) == cayley(5, connection_set_S2())
+    assert coset_graph(code) == cayley(connection_set_S2())
     assert coset_graph(code) == gamma_s2
 
 
@@ -97,7 +97,7 @@ def test_coset_graph_of_a_rescaled_parity_check():
     signed = ConnectionSet.from_vectors(
         columns + [tuple((-x) % 3 for x in c) for c in columns]
     )
-    assert coset_graph(code_from_parity_check(h2)) == cayley(5, signed)
+    assert coset_graph(code_from_parity_check(h2)) == cayley(signed)
 
 
 def test_code_enumeration_is_checked_under_optimization(run_optimized):

@@ -88,7 +88,7 @@ def test_square_is_compact_exact_and_read_only(v, dtype):
 
 def test_cayley_triangle():
     s = ConnectionSet.from_vectors([(1,), (2,)])
-    g = cayley(1, s)
+    g = cayley(s)
     assert g.v == 3
     assert g.edge_count() == 3
 
@@ -170,7 +170,7 @@ def test_dual_seidel_switch_tests_the_automorphism_once(gamma, witness_calls):
 def test_dual_seidel_switch_fixed_vertices_keep_their_rows(gamma, delta):
     sigma = switching_involution()
     for u in range(gamma.v):
-        expect = gamma.adjacency[u] if sigma(u) == u else gamma.adjacency[sigma(u)]
+        expect = gamma.adjacency[u] if sigma.images[u] == u else gamma.adjacency[sigma.images[u]]
         assert np.array_equal(delta.adjacency[u], expect)
 
 

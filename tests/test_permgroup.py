@@ -47,7 +47,7 @@ def test_images_are_a_read_only_copy():
     source = np.array([1, 0, 2])
     p = Permutation(source)
     source[0] = 2
-    assert p(0) == 1
+    assert p.images[0] == 1
     # the hash is taken over the images, so they must not change
     with pytest.raises(ValueError):
         p.images[0] = 2
@@ -69,15 +69,23 @@ def test_is_involution():
 def test_perm_from_matrix_tracks_row_action():
     sigma = perm_from_matrix(M11_GEN_A)
     assert sigma.degree == 243
-    assert sigma(0) == 0
+    assert sigma.images[0] == 0
     for idx in (1, 17, 200):
         v = [idx // 3**i % 3 for i in range(5)]
-        assert sigma(idx) == _index(mat_vec_mul(v, M11_GEN_A))
+        assert sigma.images[idx] == _index(mat_vec_mul(v, M11_GEN_A))
 
 
 def test_perm_from_singular_matrix_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAPermutationError):
         perm_from_matrix(GF3Matrix([[1, 2], [2, 1]]))
+
+
+@pytest.mark.parametrize("rows", [[[1, 0]], [[1], [0]], [[1, 1]]], ids=str)
+def test_perm_from_non_square_matrix_rejected(rows):
+    # [[1, 0]] sends the indices of V(1,3) onto themselves, so only the shape
+    # check refuses it
+    with pytest.raises(NotAPermutationError):
+        perm_from_matrix(GF3Matrix(rows))
 
 
 def test_translation_perm_has_order_three():
@@ -86,7 +94,7 @@ def test_translation_perm_has_order_three():
     p = t.images
     assert not t.is_identity() and not Permutation(p[p]).is_identity()
     assert Permutation(p[p[p]]).is_identity()
-    assert t(0) == _index((1, 0, 0, 0, 0))
+    assert t.images[0] == _index((1, 0, 0, 0, 0))
 
 
 def test_group_order_symmetric_group():
