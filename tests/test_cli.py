@@ -242,11 +242,9 @@ def test_every_caller_shares_one_search_budget():
             PipelineConfig().aut_time_budget,
         ),
     }
-    for command in ("run", "aut"):
-        args = cli._build_parser().parse_args(
-            [command] if command == "run" else [command, "c5"]
-        )
-        budgets[command] = (args.node_budget, args.time_budget)
+    for argv in (["run"], ["aut", "c5"]):
+        args = cli._build_parser().parse_args(argv)
+        budgets[argv[0]] = (args.node_budget, args.time_budget)
     assert set(budgets.values()) == {(NODE_BUDGET, TIME_BUDGET)}
 
 
