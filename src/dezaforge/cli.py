@@ -172,20 +172,15 @@ def _pick_involution(name: str, requested: str | None):
     registry = involutions_for(name)
     if not registry:
         raise UsageError(f"graph {name!r} has no registered involution")
-    if requested is not None:
-        if requested not in registry:
-            raise UsageError(
-                f"graph {name!r} has no involution {requested!r};"
-                f" available: {sorted(registry)}"
-            )
-        return requested, registry[requested]
-    if "switching" in registry:
-        return "switching", registry["switching"]
-    if len(registry) == 1:
-        return next(iter(registry.items()))
-    raise UsageError(
-        f"graph {name!r} needs an explicit --involution; available: {sorted(registry)}"
-    )
+    if requested is None:
+        # every registry holds switching or a single entry
+        requested = "switching" if "switching" in registry else next(iter(registry))
+    if requested not in registry:
+        raise UsageError(
+            f"graph {name!r} has no involution {requested!r};"
+            f" available: {sorted(registry)}"
+        )
+    return requested, registry[requested]
 
 
 def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:

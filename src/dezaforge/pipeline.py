@@ -259,10 +259,16 @@ class _Context:
         return self.objects[key]
 
 
+def _keep(ctx: _Context, key: str, obj: Any, check: Check) -> Check:
+    """Keep obj for later stages only when its own check passed."""
+    if check[1]:
+        ctx.objects[key] = obj
+    return check
+
+
 def _build(ctx: _Context, key: str, connection_set: ConnectionSet) -> Check:
     g = cayley(connection_set, label=key)
-    ctx.objects[key] = g
-    return graph_summary(g), g.v == 243 and g.is_regular()
+    return _keep(ctx, key, g, (graph_summary(g), g.v == 243 and g.is_regular()))
 
 
 def _srg(ctx: _Context, key: str) -> Check:
@@ -332,13 +338,12 @@ def _deza(
     g: Graph,
     unit_beta: bool = False,
 ) -> Check:
-    """Keep g as ctx.objects[key] and certify it strictly Deza with `expected`."""
-    ctx.objects[key] = g
+    """Certify g strictly Deza with `expected`; keep it as ctx.objects[key] if so."""
     cert = certify_deza(g)
     ok = cert.passed and (cert.v, cert.k, cert.b, cert.a) == expected and cert.strict
     if unit_beta:
         ok = ok and cert.beta_min == 1 and cert.beta_max == 1
-    return cert.to_json(), ok
+    return _keep(ctx, key, g, (cert.to_json(), ok))
 
 
 def _spectrum(
@@ -356,9 +361,8 @@ def _spectrum(
 def _lift(ctx: _Context) -> Check:
     lifted = lifted_switching_involution()
     row, ok = involution_row(ctx.need("gamma-k2"), lifted)
-    ctx.objects["lifted"] = lifted
     ok = ok and row.get("adjacent_swaps") == 0 and row.get("fixed") == 54
-    return {"type": "lifted-involution", **row}, ok
+    return _keep(ctx, "lifted", lifted, ({"type": "lifted-involution", **row}, ok))
 
 
 def _ddg(ctx: _Context, key: str) -> Check:

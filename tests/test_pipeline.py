@@ -174,3 +174,32 @@ def test_deep_run_spectrum_stages_make_five_products(matmul_calls):
     full = [s[0] for module, _, s in matmul_calls if module == "spectra" and s != (1, 1)]
     # delta and delta-k2 have 5 eigenvalues (2 products each), gamma-k2 4 (1)
     assert sorted(full) == [243, 243, 486, 486, 486]
+
+
+def test_config_echo_lists_the_override_in_lexicographic_order():
+    # S1 with its first pair (0,0,1,0,1), (0,0,2,0,2) swapped for (0,1,0,0,0), (0,2,0,0,0)
+    echo = PipelineConfig(s1_override=corrupted_s1()).echo()
+    listed = json.loads(json.dumps(echo))["s1_override"]
+    assert listed == [
+        [int(c) for c in word]
+        for word in (
+            "00121 00212 01000 01010 01012 01200 02000 02020 02021 02100 10000 "
+            "10012 10210 11002 11202 11210 20000 20021 20120 22001 22101 22120"
+        ).split()
+    ]
+
+
+def test_stages_after_a_failed_build_report_the_missing_ancestor():
+    # a 4-dimensional S1 builds an 81-vertex graph, which fails build-gamma,
+    # so no later stage may certify it
+    s1 = gf3.ConnectionSet.from_vectors([(1, 0, 0, 0), (2, 0, 0, 0)])
+    report = run_pipeline(PipelineConfig(s1_override=s1))
+    assert not stage(report, "build-gamma").passed
+    srg = stage(report, "certify-srg-gamma")
+    assert not srg.passed
+    assert srg.certificate == {
+        "type": "error",
+        "error": "RuntimeError",
+        "message": "stage input 'gamma' unavailable (earlier failure)",
+    }
+    assert stage(report, "certify-srg-gamma-s2").passed
