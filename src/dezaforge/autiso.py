@@ -34,8 +34,8 @@ from .gf3 import (
     invert,
     mat_mul,
 )
-from .graphcore import Graph, _component_labels, automorphism_witness
-from .permgroup import Permutation, StabilizerChain, group_order
+from .graphcore import Graph, automorphism_witness
+from .permgroup import Permutation, StabilizerChain, group_order, orbit_labels
 
 VERTEX_CEILING = 1024
 # the search budget of every caller: the library, the pipeline and the CLI
@@ -283,7 +283,7 @@ class _Search:
         # generators are only appended, so the count names the set
         cached = self.orbits.get(depth)
         if cached is None or cached[0] != len(gens):
-            cached = self.orbits[depth] = (len(gens), _orbit_labels(self.v, gens))
+            cached = self.orbits[depth] = (len(gens), orbit_labels(self.v, gens))
         return cached[1]
 
     def _pruned(self, cand: int, depth: int, processed: list[int]) -> bool:
@@ -374,14 +374,6 @@ def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
     return sorted((Permutation(p) for p in found), key=lambda p: p.images.tolist())
 
 
-def _orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
-    """The smallest point of each point's orbit under the generated group."""
-    if not gens:
-        return np.arange(v)
-    points = np.tile(np.arange(v), len(gens))
-    return _component_labels(v, points, np.concatenate(gens))
-
-
 def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
     """Exact order of the subgroup generated by verified automorphisms.
 
@@ -417,7 +409,7 @@ def find_linear_cayley_isomorphism(
     if len(sa) != len(sb):
         return None
     n = sa.dimension
-    rows_a, rows_b = (np.array(sorted(s.vectors)) for s in (sa, sb))
+    rows_a, rows_b = sa.vectors, sb.vectors
     basis = rows_a[_row_reduce(rows_a.T)[1]]
     if len(basis) < n:
         raise ValueError("connection set does not span the space")
@@ -428,7 +420,7 @@ def find_linear_cayley_isomorphism(
 
     if not np.array_equal(profile(rows_a), profile(rows_b)):
         return None
-    in_a, in_b = (np.isin(np.arange(3**n), indices_of(r)) for r in (rows_a, rows_b))
+    in_a, in_b = (np.isin(np.arange(3**n), s.indices) for s in (sa, sb))
 
     def dfs(images: np.ndarray) -> np.ndarray | None:
         d = len(images)
@@ -440,7 +432,7 @@ def find_linear_cayley_isomorphism(
         sources = indices_of(coords @ basis[: d + 1] % 3)
         # targets[c, j]: the image of source j when rows_b[c] is basis[d]'s image
         mapped = (coords[:, :d] @ images + coords[:, d:] * rows_b[:, None]) % 3
-        targets = indices_of(mapped.reshape(-1, n)).reshape(len(rows_b), -1)
+        targets = indices_of(mapped)
         fits = ((targets != 0) & (in_b[targets] == in_a[sources])).all(axis=1)
         for c in np.flatnonzero(fits):
             found = dfs(np.vstack([images, rows_b[c]]))

@@ -1,10 +1,10 @@
 """Named graphs, their registered involutions, and known automorphism seeds.
 
 Every object here is derived deterministically from the embedded constants:
-the two 5x5 generator matrices over GF(3) and the Golay parity check matrix.
-The switching involution, its centralizer pair, and the fixed-space
-translations are recomputed from those sources on demand rather than stored
-as magic numbers.
+the two 5x5 generator matrices over GF(3), the table of their 22-point orbit
+and the Golay parity check matrix. The switching involution, its centralizer
+pair, and the fixed-space translations are recomputed from those sources on
+demand rather than stored as magic numbers.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .gf3 import (
+    ConnectionSet,
     GF3Matrix,
     M11_GEN_A,
     M11_GEN_B,
-    connection_set_s1,
     fixed_space_basis,
     identity,
     negate,
@@ -32,7 +32,7 @@ from .graphcore import (
     lift_involution_to_product,
     strong_product_K2,
 )
-from .permgroup import Permutation, perm_from_matrix, translation_perm
+from .permgroup import Permutation, orbit_labels, perm_from_matrix, translation_perm
 
 GRAPH_NAMES = (
     "gamma",
@@ -46,6 +46,25 @@ GRAPH_NAMES = (
 
 # Known |Aut| of the named graphs, the order an automorphism search must reach.
 AUT_ORDERS = {"gamma": 3_849_120, "delta": 2592, "petersen": 120, "c5": 10}
+
+
+# The unique 22-point orbit of M11 on the nonzero vectors of V(5,3),
+# listed as eleven +- pairs. The remaining 220 nonzero vectors form the
+# other orbit. This set is the connection set of the Berlekamp-Van
+# Lint-Seidel graph in its Cayley presentation.
+_S1_BASE = np.array([
+    (1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 1),
+    (0, 1, 0, 1, 0),
+    (0, 1, 2, 0, 0),
+    (0, 0, 1, 2, 1),
+    (0, 1, 0, 1, 2),
+    (1, 1, 2, 0, 2),
+    (1, 0, 0, 1, 2),
+    (1, 0, 2, 1, 0),
+    (1, 1, 0, 0, 2),
+    (1, 1, 2, 1, 0),
+])
 
 
 class UnknownGraphError(ValueError):
@@ -104,6 +123,30 @@ def switching_matrix() -> GF3Matrix:
             f"switching involution fixes a space of dimension {fixed}, not 3"
         )
     return m
+
+
+def m11_orbit_labels() -> np.ndarray:
+    """Orbit labels of the two M11 generators on the 243 vertex indices."""
+    return orbit_labels(243, [perm_from_matrix(g).images for g in (M11_GEN_A, M11_GEN_B)])
+
+
+@lru_cache(maxsize=1)
+def connection_set_s1() -> ConnectionSet:
+    """The 22-vector M11 orbit as a connection set.
+
+    Recomputes the orbit of (1,0,0,0,0), vertex 1, under the right action of
+    the M11 generators and insists it equal the embedded table. This pins the
+    row-vector convention: under the transposed action the orbit would not
+    reproduce the table, and construction fails loudly.
+    """
+    table = ConnectionSet(np.concatenate([_S1_BASE, -_S1_BASE % 3]))
+    labels = m11_orbit_labels()
+    if not np.array_equal(np.flatnonzero(labels == labels[1]), table.indices):
+        raise AssertionError(
+            "M11 orbit of (1,0,0,0,0) does not match the embedded 22-vector table; "
+            "matrix action convention is wrong"
+        )
+    return table
 
 
 def switching_involution() -> Permutation:

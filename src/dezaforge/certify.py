@@ -13,7 +13,8 @@ from typing import Any
 
 import numpy as np
 
-from .graphcore import Graph, _component_labels, exact_matmul
+from .graphcore import Graph, exact_matmul
+from .permgroup import _component_labels
 
 
 def diameter(g: Graph) -> int | None:

@@ -22,11 +22,11 @@ from .catalog import (
     AUT_ORDERS,
     GRAPH_NAMES,
     build_graph,
+    connection_set_s1,
     involutions_for,
     known_generators,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
-from .gf3 import connection_set_s1
 from .golay import connection_set_S2
 from .graphcore import (
     Graph,

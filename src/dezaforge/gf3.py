@@ -1,20 +1,18 @@
-"""Exact arithmetic over GF(3): vectors, matrices, orbits, connection sets.
+"""Exact arithmetic over GF(3): vectors, matrices and connection sets.
 
-Vectors of V(n,3) are plain tuples of residues in {0,1,2}. Each vector has a
-canonical vertex index (little-endian base 3), and all graph modules exchange
-indices rather than raw vectors. Matrices act on row vectors from the right,
-v -> v*M; the convention is pinned by a self-check in connection_set_s1().
+Vectors of V(n,3) are the rows of integer arrays with residues in {0,1,2}.
+Each vector has a canonical vertex index (little-endian base 3), and all
+graph modules exchange indices rather than raw vectors. Matrices act on row
+vectors from the right, v -> v*M; the convention is pinned by a self-check
+in catalog.connection_set_s1().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-
-GFVector = tuple[int, ...]
 
 
 class InvalidElementError(ValueError):
@@ -27,14 +25,6 @@ class ShapeError(ValueError):
 
 class InvalidConnectionSetError(ValueError):
     """A connection set violates inverse-closure or contains the zero vector."""
-
-
-def _check_vector(v: Sequence[int]) -> GFVector:
-    t = tuple(int(c) for c in v)
-    for c in t:
-        if c not in (0, 1, 2):
-            raise InvalidElementError(f"coordinate {c!r} is not in {{0,1,2}}")
-    return t
 
 
 class GF3Matrix:
@@ -73,9 +63,6 @@ class GF3Matrix:
         """Read-only numpy view of the entries."""
         return self._a
 
-    def row(self, i: int) -> GFVector:
-        return tuple(int(c) for c in self._a[i])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GF3Matrix)
@@ -84,8 +71,7 @@ class GF3Matrix:
         )
 
     def __repr__(self) -> str:
-        body = ", ".join(str(self.row(i)) for i in range(self.rows))
-        return f"GF3Matrix([{body}])"
+        return f"GF3Matrix({self._a.tolist()})"
 
 
 def identity(n: int) -> GF3Matrix:
@@ -108,18 +94,9 @@ def all_vectors(n: int) -> np.ndarray:
 
 
 def indices_of(vectors: np.ndarray) -> np.ndarray:
-    """The canonical vertex index of each row: the sum of row[i] * 3^i."""
-    n = vectors.shape[1]
-    weights = 3 ** np.arange(n, dtype=np.int64)
-    return vectors @ weights
-
-
-def mat_vec_mul(v: Sequence[int], m: GF3Matrix) -> GFVector:
-    """Row vector times matrix, exact mod 3."""
-    t = _check_vector(v)
-    if len(t) != m.rows:
-        raise ShapeError(f"vector length {len(t)} != matrix rows {m.rows}")
-    return tuple(int(c) for c in (np.array(t, dtype=np.int64) @ m.array) % 3)
+    """The canonical vertex index of each vector along the last axis: the
+    sum of vector[i] * 3^i."""
+    return vectors @ 3 ** np.arange(vectors.shape[-1], dtype=np.int64)
 
 
 def mat_mul(a: GF3Matrix, b: GF3Matrix) -> GF3Matrix:
@@ -170,20 +147,17 @@ def invert(m: GF3Matrix) -> GF3Matrix:
     return GF3Matrix(reduced[:, n:])
 
 
-def kernel_basis(m: GF3Matrix) -> list[GFVector]:
-    """Basis of the right kernel {v : M v = 0} over GF(3)."""
+def kernel_basis(m: GF3Matrix) -> np.ndarray:
+    """Basis of the right kernel {v : M v = 0} over GF(3), one vector a row."""
     reduced, pivots = _row_reduce(m.array)
-    basis = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        vec = np.zeros(m.cols, dtype=np.int64)
-        vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = (-reduced[i, f]) % 3
-        basis.append(tuple(int(x) for x in vec))
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[: len(pivots), free].T % 3
     return basis
 
 
-def fixed_space_basis(m: GF3Matrix) -> list[GFVector]:
+def fixed_space_basis(m: GF3Matrix) -> np.ndarray:
     """Basis of the row-action fixed space {v : v*M = v}."""
     if m.rows != m.cols:
         raise ShapeError("fixed space requires a square matrix")
@@ -191,63 +165,57 @@ def fixed_space_basis(m: GF3Matrix) -> list[GFVector]:
     return kernel_basis(GF3Matrix(diff.T % 3))
 
 
-def orbit(generators: Sequence[GF3Matrix], seed: Sequence[int]) -> frozenset[GFVector]:
-    """Smallest set containing seed and closed under v -> v*g for every g.
-
-    Plain breadth-first closure; generators need not be invertible for the
-    closure to be well defined, but group orbits assume they are.
-    """
-    start = _check_vector(seed)
-    for g in generators:
-        if g.rows != g.cols or g.rows != len(start):
-            raise ShapeError("orbit generators must be square of the seed's length")
-    seen: set[GFVector] = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in generators:
-                w = mat_vec_mul(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(seen)
-
-
-@dataclass(frozen=True)
 class ConnectionSet:
-    """Inverse-closed, identity-free set of vectors defining a Cayley graph."""
+    """Inverse-closed, identity-free set of vectors defining a Cayley graph.
 
-    dimension: int
-    vectors: frozenset[GFVector] = field(default_factory=frozenset)
+    Holds its members once each as the rows of a read-only (size, n) array in
+    lexicographic order, and their vertex indices, read-only and increasing.
+    """
 
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.dimension:
-                raise InvalidConnectionSetError(
-                    f"vector {v} does not have dimension {self.dimension}"
-                )
-            _check_vector(v)
-            if not any(v):
-                raise InvalidConnectionSetError("connection set contains the zero vector")
-            neg = tuple((-c) % 3 for c in v)
-            if neg not in self.vectors:
-                raise InvalidConnectionSetError(f"additive inverse of {v} is missing")
+    __slots__ = ("vectors", "indices")
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[int]]) -> "ConnectionSet":
-        vs = frozenset(_check_vector(v) for v in vectors)
-        if not vs:
+    def __init__(self, vectors: Iterable[Sequence[int]]) -> None:
+        rows = [list(v) for v in vectors]
+        if not rows:
             raise InvalidConnectionSetError("connection set must be non-empty")
-        dim = len(next(iter(vs)))
-        return cls(dim, vs)
+        a = GF3Matrix(rows).array
+        if not a.any(axis=1).all():
+            raise InvalidConnectionSetError("connection set contains the zero vector")
+        a = a[np.lexsort(a.T[::-1])]
+        a = a[np.r_[True, (a[1:] != a[:-1]).any(axis=1)]]
+        indices = indices_of(a)
+        missing = np.flatnonzero(~np.isin(indices_of(-a % 3), indices))
+        if missing.size:
+            v = tuple(a[missing[0]].tolist())
+            raise InvalidConnectionSetError(f"additive inverse of {v} is missing")
+        indices = np.sort(indices)
+        for name, value in (("vectors", a), ("indices", indices)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ConnectionSet is immutable; cannot delete {name!r}")
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __iter__(self):
-        return iter(sorted(self.vectors))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConnectionSet) and np.array_equal(
+            self.vectors, other.vectors
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vectors.shape, self.vectors.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"ConnectionSet({self.vectors.tolist()})"
 
 
 # Standard generators of the Mathieu group M11 in its 5-dimensional
@@ -268,42 +236,3 @@ M11_GEN_B = GF3Matrix([
     (1, 2, 1, 1, 0),
     (2, 2, 0, 2, 1),
 ])
-
-# The unique 22-point orbit of M11 on the nonzero vectors of V(5,3),
-# listed as eleven +- pairs. The remaining 220 nonzero vectors form the
-# other orbit. This set is the connection set of the Berlekamp-Van
-# Lint-Seidel graph in its Cayley presentation.
-_S1_BASE: tuple[GFVector, ...] = (
-    (1, 0, 0, 0, 0),
-    (0, 0, 1, 0, 1),
-    (0, 1, 0, 1, 0),
-    (0, 1, 2, 0, 0),
-    (0, 0, 1, 2, 1),
-    (0, 1, 0, 1, 2),
-    (1, 1, 2, 0, 2),
-    (1, 0, 0, 1, 2),
-    (1, 0, 2, 1, 0),
-    (1, 1, 0, 0, 2),
-    (1, 1, 2, 1, 0),
-)
-
-
-@lru_cache(maxsize=1)
-def connection_set_s1() -> ConnectionSet:
-    """The 22-vector M11 orbit as a connection set.
-
-    Recomputes the orbit of (1,0,0,0,0) under the right action of the M11
-    generators and insists it equal the embedded table. This pins the
-    row-vector convention: under the transposed action the orbit would not
-    reproduce the table, and construction fails loudly.
-    """
-    table = frozenset(
-        v for base in _S1_BASE for v in (base, tuple((-c) % 3 for c in base))
-    )
-    computed = orbit([M11_GEN_A, M11_GEN_B], (1, 0, 0, 0, 0))
-    if computed != table:
-        raise AssertionError(
-            "M11 orbit of (1,0,0,0,0) does not match the embedded 22-vector table; "
-            "matrix action convention is wrong"
-        )
-    return ConnectionSet(5, table)

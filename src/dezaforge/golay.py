@@ -10,20 +10,11 @@ endpoints onto each other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3 import (
-    ConnectionSet,
-    GF3Matrix,
-    GFVector,
-    all_vectors,
-    indices_of,
-    kernel_basis,
-    rank,
-)
+from .gf3 import ConnectionSet, GF3Matrix, all_vectors, indices_of, kernel_basis, rank
 from .graphcore import Graph, cayley
 from .permgroup import Permutation
 
@@ -59,13 +50,14 @@ def parity_check_H() -> GF3Matrix:
     return GF3Matrix(_H_ROWS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code over GF(3) held as its full codeword list."""
+    """A linear code over GF(3) held as its full codeword list: a read-only
+    array with one word a row, in lexicographic order."""
 
     length: int
     parity_check: GF3Matrix
-    codewords: tuple[GFVector, ...]
+    codewords: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -76,9 +68,8 @@ class LinearCode:
 
     def minimum_distance(self) -> int:
         """Minimum nonzero Hamming weight, by exhaustive scan."""
-        return min(
-            sum(1 for x in w if x) for w in self.codewords if any(w)
-        )
+        weights = np.count_nonzero(self.codewords, axis=1)
+        return int(weights[weights > 0].min())
 
 
 def code_from_parity_check(h: GF3Matrix) -> LinearCode:
@@ -92,12 +83,12 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     h_rank = rank(h)
     if h_rank != h.rows:
         raise RankDeficientError(h.rows, h_rank)
-    basis = np.array(kernel_basis(h), dtype=np.int64).reshape(-1, h.cols)
+    basis = kernel_basis(h)
     dim = len(basis)
     words = all_vectors(dim) @ basis % 3
     # counted in sorted order: np.unique loads numpy.ma, and base-3 codes of
     # the words would wrap int64 from length 40 on
-    ordered = words[np.lexsort(words.T)]
+    ordered = words[np.lexsort(words.T[::-1])]
     distinct = 1 + np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1))
     if distinct != 3**dim:
         raise ArithmeticError(f"kernel basis spans {distinct} words, not 3^{dim}")
@@ -105,8 +96,8 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     if outside.size:
         w = tuple(words[outside[0]].tolist())
         raise ArithmeticError(f"enumerated word {w} is not in the kernel of H")
-    words = sorted(map(tuple, words.tolist()))
-    return LinearCode(length=h.cols, parity_check=h, codewords=tuple(words))
+    ordered.setflags(write=False)
+    return LinearCode(length=h.cols, parity_check=h, codewords=ordered)
 
 
 def connection_set_S2() -> ConnectionSet:
@@ -116,10 +107,10 @@ def connection_set_S2() -> ConnectionSet:
     that is a hard error rather than a certificate failure.
     """
     h = parity_check_H().array
-    vectors = {tuple(v) for v in np.concatenate([h.T, -h.T % 3]).tolist()}
-    if len(vectors) != 2 * h.shape[1]:
+    s2 = ConnectionSet(np.concatenate([h.T, -h.T % 3]))
+    if len(s2) != 2 * h.shape[1]:
         raise AssertionError("signed parity-check columns are not distinct")
-    return ConnectionSet.from_vectors(vectors)
+    return s2
 
 
 def pair_sums_cover(s2: ConnectionSet) -> bool:
@@ -129,18 +120,12 @@ def pair_sums_cover(s2: ConnectionSet) -> bool:
     distinct nonzero vectors, disjoint from S2; with |S2| = 22 they then
     exhaust all 242 nonzero vectors.
     """
-    base = sorted(s2)
-    sums = set()
-    for x, y in itertools.combinations(base, 2):
-        if x == tuple((-c) % 3 for c in y):
-            continue
-        sums.add(tuple((a + b) % 3 for a, b in zip(x, y)))
-    members = set(s2.vectors)
-    if sums & members:
-        return False
-    if any(not any(v) for v in sums):
-        return False
-    return len(sums) == 3**s2.dimension - 1 - len(members)
+    i, j = np.triu_indices(len(s2), 1)
+    sums = np.zeros(3**s2.dimension, dtype=bool)
+    sums[indices_of((s2.vectors[i] + s2.vectors[j]) % 3)] = True
+    # a pair x, -x sums to zero and stands for no direction
+    sums[0] = False
+    return not sums[s2.indices].any() and int(sums.sum()) == sums.size - 1 - len(s2)
 
 
 def coset_graph(code: LinearCode) -> Graph:
@@ -153,7 +138,7 @@ def coset_graph(code: LinearCode) -> Graph:
     h = code.parity_check
     eye = np.eye(code.length, dtype=np.int64)
     syndromes = np.concatenate([eye, 2 * eye]) @ h.array.T % 3
-    return cayley(ConnectionSet.from_vectors(syndromes), label="golay-coset")
+    return cayley(ConnectionSet(syndromes), label="golay-coset")
 
 
 def reversal_perm() -> Permutation:

@@ -196,13 +196,10 @@ def cayley(s: gf3.ConnectionSet, label: str = "") -> Graph:
     Vertices are the canonical ternary indices; i ~ j iff vector(i) -
     vector(j) lies in s. The result is |s|-regular.
     """
-    v = 3**s.dimension
     vv = gf3.all_vectors(s.dimension)
-    a = np.zeros((v, v), dtype=bool)
-    rows = np.arange(v)
-    for vec in s:
-        cols = gf3.indices_of((vv + np.array(vec, dtype=np.int64)) % 3)
-        a[rows, cols] = True
+    a = np.zeros((len(vv), len(vv)), dtype=bool)
+    # row i holds the index of vector(i) + x for every member x of s
+    a[np.arange(len(vv))[:, None], gf3.indices_of((vv[:, None] + s.vectors) % 3)] = True
     return Graph(a, label)
 
 
@@ -222,26 +219,6 @@ def strong_product_K2(g: Graph, label: str = "") -> Graph:
     a[2 * idx, 2 * idx + 1] = True
     a[2 * idx + 1, 2 * idx] = True
     return Graph(a, label)
-
-
-def _component_labels(v: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The smallest vertex of each vertex's component under the pairs (src, dst).
-
-    Hooks the larger root of every pair to the smaller one and then follows
-    the root pointers to the end, until every pair shares a root; a root
-    never exceeds the points below it, so it is the minimum.
-    """
-    labels = np.arange(v)
-    while True:
-        a, b = labels[src], labels[dst]
-        if np.array_equal(a, b):
-            return labels
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
 
 
 def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:

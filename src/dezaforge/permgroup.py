@@ -1,8 +1,9 @@
-"""Vertex permutations and exact permutation-group order.
+"""Vertex permutations, the orbits they generate, and exact group order.
 
-Permutations are immutable image arrays over [0, v). Group order is computed
-with a deterministic Schreier-Sims stabilizer chain; orders are plain Python
-integers, so they never overflow.
+Permutations are immutable image arrays over [0, v). Orbits come from one
+connected-components kernel. Group order is computed with a deterministic
+Schreier-Sims stabilizer chain; orders are plain Python integers, so they
+never overflow.
 """
 
 from __future__ import annotations
@@ -89,9 +90,37 @@ def perm_from_matrix(m: gf3.GF3Matrix) -> Permutation:
 
 def translation_perm(t: Sequence[int]) -> Permutation:
     """Permutation v -> v + t on the 3^n vertex indices."""
-    vec = np.array(gf3._check_vector(t), dtype=np.int64)
-    vv = gf3.all_vectors(len(vec))
-    return Permutation(gf3.indices_of((vv + vec) % 3))
+    # a one-row matrix, so a coordinate outside {0,1,2} is refused
+    vec = gf3.GF3Matrix([t]).array
+    return Permutation(gf3.indices_of((gf3.all_vectors(vec.shape[1]) + vec) % 3))
+
+
+def _component_labels(v: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component under the pairs (src, dst).
+
+    Hooks the larger root of every pair to the smaller one and then follows
+    the root pointers to the end, until every pair shares a root; a root
+    never exceeds the points below it, so it is the minimum.
+    """
+    labels = np.arange(v)
+    while True:
+        a, b = labels[src], labels[dst]
+        if np.array_equal(a, b):
+            return labels
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def orbit_labels(v: int, gens: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest point of each point's orbit under the group that the
+    image arrays gens generate on [0, v)."""
+    if not gens:
+        return np.arange(v)
+    return _component_labels(v, np.tile(np.arange(v), len(gens)), np.concatenate(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__
 from .autiso import (
     NODE_BUDGET,
@@ -30,21 +32,15 @@ from .autiso import (
 )
 from .catalog import (
     AUT_ORDERS,
+    connection_set_s1,
     involutions_for,
     known_generators,
     lifted_switching_involution,
+    m11_orbit_labels,
     switching_involution,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
-from .gf3 import (
-    ConnectionSet,
-    M11_GEN_A,
-    M11_GEN_B,
-    all_vectors,
-    connection_set_s1,
-    mat_vec_mul,
-    orbit,
-)
+from .gf3 import ConnectionSet, M11_GEN_A, M11_GEN_B, indices_of
 from .golay import (
     code_from_parity_check,
     connection_set_S2,
@@ -99,7 +95,7 @@ class PipelineConfig:
             "aut_node_budget": self.aut_node_budget,
             "aut_time_budget": self.aut_time_budget,
             "s1_override": (
-                sorted(self.s1_override) if self.s1_override is not None else None
+                None if self.s1_override is None else self.s1_override.vectors.tolist()
             ),
         }
 
@@ -173,11 +169,12 @@ def linear_isomorphism(source: ConnectionSet, target: ConnectionSet) -> Check:
     matrix = find_linear_cayley_isomorphism(source, target)
     if matrix is None:
         return {"type": "linear-isomorphism", "found": False}, False
-    verified = frozenset(mat_vec_mul(v, matrix) for v in source) == target.vectors
+    images = np.sort(indices_of(source.vectors @ matrix.array % 3))
+    verified = np.array_equal(images, target.indices)
     cert = {
         "type": "linear-isomorphism",
         "found": True,
-        "matrix": [list(matrix.row(i)) for i in range(matrix.rows)],
+        "matrix": matrix.array.tolist(),
         "verified": verified,
     }
     return cert, verified
@@ -277,16 +274,13 @@ def _srg(ctx: _Context, key: str) -> Check:
 
 
 def _orbit_sizes(ctx: _Context) -> Check:
-    gens = (M11_GEN_A, M11_GEN_B)
-    first = orbit(gens, (1, 0, 0, 0, 0))
-    outside = next(
-        tuple(int(x) for x in row)
-        for row in all_vectors(5)
-        if any(row) and tuple(int(x) for x in row) not in first
-    )
-    second = orbit(gens, outside)
-    sizes = sorted((len(first), len(second)))
-    matches = first == ctx.s1.vectors
+    labels = m11_orbit_labels()
+    # the orbit of (1,0,0,0,0), vertex 1, and of the first vertex outside it
+    # but vertex 0, the zero vector, which is an orbit of its own
+    first = labels == labels[1]
+    second = labels == labels[np.flatnonzero(~first)[1]]
+    sizes = sorted((int(first.sum()), int(second.sum())))
+    matches = np.array_equal(np.flatnonzero(first), ctx.s1.indices)
     cert = {"type": "orbits", "sizes": sizes, "matches_connection_set": matches}
     return cert, sizes == [22, 220] and matches
 

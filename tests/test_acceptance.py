@@ -20,6 +20,7 @@ from dezaforge.autiso import (
 )
 from dezaforge.catalog import (
     build_graph,
+    connection_set_s1,
     involutions_for,
     known_generators,
     lifted_switching_involution,
@@ -27,14 +28,7 @@ from dezaforge.catalog import (
     switching_involution,
 )
 from dezaforge.certify import certify_ddg, certify_deza, certify_srg
-from dezaforge.gf3 import (
-    M11_GEN_A,
-    M11_GEN_B,
-    all_vectors,
-    connection_set_s1,
-    mat_vec_mul,
-    orbit,
-)
+from dezaforge.gf3 import M11_GEN_A, M11_GEN_B, indices_of
 from dezaforge.golay import (
     code_from_parity_check,
     connection_set_S2,
@@ -51,7 +45,7 @@ from dezaforge.graphcore import (
     strong_product_K2,
     to_graph6,
 )
-from dezaforge.permgroup import group_order, perm_from_matrix
+from dezaforge.permgroup import group_order, orbit_labels, perm_from_matrix
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -96,9 +90,9 @@ def test_criterion_02_gamma_s2_is_srg_and_linearly_isomorphic(announce):
     s1 = connection_set_s1()
     s2 = connection_set_S2()
     matrix = find_linear_cayley_isomorphism(s1, s2)
-    iso_ok = matrix is not None and frozenset(
-        mat_vec_mul(v, matrix) for v in s1
-    ) == s2.vectors
+    iso_ok = matrix is not None and np.array_equal(
+        np.sort(indices_of(s1.vectors @ matrix.array % 3)), s2.indices
+    )
     iso_elapsed = time.perf_counter() - start
 
     ok = srg_ok and iso_ok and srg_elapsed < 1.0 and iso_elapsed < 60.0
@@ -114,17 +108,13 @@ def test_criterion_02_gamma_s2_is_srg_and_linearly_isomorphic(announce):
 
 def test_criterion_03_orbit_sizes_22_and_220(announce):
     start = time.perf_counter()
-    gens = (M11_GEN_A, M11_GEN_B)
-    small = orbit(gens, (1, 0, 0, 0, 0))
-    outside = next(
-        tuple(int(x) for x in row)
-        for row in all_vectors(5)
-        if any(row) and tuple(int(x) for x in row) not in small
-    )
-    big = orbit(gens, outside)
-    match = small == connection_set_s1().vectors
+    labels = orbit_labels(243, [perm_from_matrix(g).images for g in (M11_GEN_A, M11_GEN_B)])
+    # vertex 1 is (1,0,0,0,0); vertex 0, the zero vector, is fixed
+    small = np.flatnonzero(labels == labels[1])
+    big = np.flatnonzero((labels != labels[1]) & (labels != 0))
+    match = np.array_equal(small, connection_set_s1().indices)
     elapsed = time.perf_counter() - start
-    ok = len(small) == 22 and len(big) == 220 and match
+    ok = len(small) == 22 and len(big) == 220 and len(set(labels[big])) == 1 and match
     announce(3, ok and elapsed < 1.0, elapsed, 1.0, "<x,y> orbits have sizes 22 and 220; the 22-orbit is S1")
     assert ok
     assert elapsed < 1.0

@@ -16,20 +16,23 @@ from dezaforge.autiso import (
     find_linear_cayley_isomorphism,
     verify_subgroup,
 )
-from dezaforge.catalog import AUT_ORDERS, build_graph, involutions_for, known_generators
-from dezaforge.certify import certify_ddg
-from dezaforge.gf3 import (
-    ConnectionSet,
-    GF3Matrix,
-    all_vectors,
+from dezaforge.catalog import (
+    AUT_ORDERS,
+    build_graph,
     connection_set_s1,
-    indices_of,
-    mat_vec_mul,
-    rank,
+    involutions_for,
+    known_generators,
 )
+from dezaforge.certify import certify_ddg
+from dezaforge.gf3 import ConnectionSet, GF3Matrix, all_vectors, indices_of, rank
 from dezaforge.golay import connection_set_S2
 from dezaforge.graphcore import Graph, exact_matmul, from_edges
-from dezaforge.permgroup import Permutation, StabilizerChain
+from dezaforge.permgroup import Permutation, StabilizerChain, orbit_labels
+
+
+def _carries(matrix, sa, sb):
+    """True iff v -> v*matrix maps the members of sa onto those of sb."""
+    return np.array_equal(np.sort(indices_of(sa.vectors @ matrix.array % 3)), sb.indices)
 
 
 def _refine_graph(g, colouring):
@@ -160,20 +163,20 @@ def test_find_linear_cayley_isomorphism_s1_to_s2():
     s2 = connection_set_S2()
     matrix = find_linear_cayley_isomorphism(s1, s2)
     assert matrix is not None
-    assert frozenset(mat_vec_mul(v, matrix) for v in s1) == s2.vectors
+    assert _carries(matrix, s1, s2)
 
 
 def test_find_linear_cayley_isomorphism_identity_case():
     s1 = connection_set_s1()
     matrix = find_linear_cayley_isomorphism(s1, s1)
     assert matrix is not None
-    assert frozenset(mat_vec_mul(v, matrix) for v in s1) == s1.vectors
+    assert _carries(matrix, s1, s1)
 
 
 def test_find_linear_cayley_isomorphism_negative():
     s1 = connection_set_s1()
-    vecs = sorted(s1.vectors)
-    drop = vecs[0]
+    members = set(map(tuple, s1.vectors.tolist()))
+    drop = tuple(s1.vectors[0].tolist())
     drop_neg = tuple((-x) % 3 for x in drop)
     cand = next(
         c
@@ -181,22 +184,22 @@ def test_find_linear_cayley_isomorphism_negative():
             (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0), (1, 0, 0, 0, 1),
             (0, 1, 1, 0, 0), (0, 1, 0, 1, 0),
         )
-        if c not in s1.vectors
+        if c not in members
     )
-    corrupted = ConnectionSet.from_vectors(
-        (set(s1.vectors) - {drop, drop_neg}) | {cand, tuple((-x) % 3 for x in cand)}
+    corrupted = ConnectionSet(
+        (members - {drop, drop_neg}) | {cand, tuple((-x) % 3 for x in cand)}
     )
     assert find_linear_cayley_isomorphism(s1, corrupted) is None
 
 
 def test_find_linear_cayley_isomorphism_size_mismatch():
-    a = ConnectionSet.from_vectors([(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)])
+    a = ConnectionSet([(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)])
     s1 = connection_set_s1()
     assert find_linear_cayley_isomorphism(s1, a) is None
 
 
 def test_find_linear_cayley_isomorphism_dimension_mismatch():
-    a = ConnectionSet.from_vectors([(1, 0), (2, 0)])
+    a = ConnectionSet([(1, 0), (2, 0)])
     s1 = connection_set_s1()
     with pytest.raises(ValueError):
         find_linear_cayley_isomorphism(s1, a)
@@ -229,10 +232,10 @@ def test_find_linear_cayley_isomorphism_pins_the_matrix(pair):
 
 def test_find_linear_cayley_isomorphism_rejects_a_non_spanning_source():
     # Sa spans only the plane x3 = 0; Sb spans V(3,3) and has the same size
-    sa = ConnectionSet.from_vectors(
+    sa = ConnectionSet(
         [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0)]
     )
-    sb = ConnectionSet.from_vectors(
+    sb = ConnectionSet(
         [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 2)]
     )
     with pytest.raises(ValueError, match="does not span"):
@@ -249,9 +252,7 @@ GL = {n: _general_linear_group(n) for n in (2, 3)}
 
 
 def _connection_set(n, reps):
-    return ConnectionSet(
-        n, frozenset(tuple(int(x) * s % 3 for x in r) for r in reps for s in (1, 2))
-    )
+    return ConnectionSet([[int(x) * s % 3 for x in r] for r in reps for s in (1, 2)])
 
 
 @st.composite
@@ -294,16 +295,15 @@ def connection_set_pairs(draw):
 def test_find_linear_cayley_isomorphism_matches_brute_force(pair):
     sa, sb = pair
     n = sa.dimension
-    sa_rows = np.array(sorted(sa.vectors))
-    want = np.sort(indices_of(np.array(sorted(sb.vectors))))
-    images = indices_of((sa_rows @ GL[n] % 3).reshape(-1, n))
+    want = sb.indices
+    images = indices_of((sa.vectors @ GL[n] % 3).reshape(-1, n))
     images = np.sort(images.reshape(len(GL[n]), -1))
     exists = bool((images == want).all(axis=1).any())
     matrix = find_linear_cayley_isomorphism(sa, sb)
     assert (matrix is not None) == exists
     if matrix is not None:
         assert rank(matrix) == n
-        assert frozenset(mat_vec_mul(v, matrix) for v in sa) == sb.vectors
+        assert _carries(matrix, sa, sb)
 
 
 def test_generators_are_checked_under_optimization(run_optimized):
@@ -524,7 +524,7 @@ def permutation_sets(draw):
 @given(permutation_sets())
 def test_orbit_labels_match_a_walk(v_and_gens):
     v, gens = v_and_gens
-    labels = autiso._orbit_labels(v, gens)
+    labels = orbit_labels(v, gens)
     for start in range(v):
         orbit, queue = {start}, [start]
         while queue:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dezaforge.catalog import connection_set_s1, m11_orbit_labels
 from dezaforge.gf3 import (
     ConnectionSet,
     GF3Matrix,
@@ -10,19 +11,16 @@ from dezaforge.gf3 import (
     M11_GEN_B,
     ShapeError,
     all_vectors,
-    connection_set_s1,
     fixed_space_basis,
     identity,
     indices_of,
     invert,
     kernel_basis,
     mat_mul,
-    mat_vec_mul,
     negate,
-    orbit,
     rank,
 )
-from dezaforge.permgroup import translation_perm
+from dezaforge.permgroup import perm_from_matrix, translation_perm
 
 
 def test_vector_index_round_trip():
@@ -65,18 +63,18 @@ def test_matrix_rejects_bad_entries():
         GF3Matrix([[0, 3]])
 
 
-def test_mat_vec_mul_is_row_action():
-    m = GF3Matrix([[1, 2], [0, 1]])
-    assert mat_vec_mul((1, 0), m) == (1, 2)
-    assert mat_vec_mul((0, 1), m) == (0, 1)
-    assert mat_vec_mul((1, 1), m) == (1, 0)
+def test_matrix_acts_on_row_vectors():
+    # v -> v*M, read through the vertex permutation of M
+    images = perm_from_matrix(GF3Matrix([[1, 2], [0, 1]])).images
+    for v, w in (((1, 0), (1, 2)), ((0, 1), (0, 1)), ((1, 1), (1, 0))):
+        assert images[indices_of(np.array(v))] == indices_of(np.array(w))
 
 
 def test_mat_mul_associates_with_row_action():
     a = GF3Matrix([[1, 2], [2, 2]])
     b = GF3Matrix([[0, 1], [1, 1]])
-    for v in ((1, 0), (0, 1), (2, 2)):
-        assert mat_vec_mul(mat_vec_mul(v, a), b) == mat_vec_mul(v, mat_mul(a, b))
+    vv = all_vectors(2)
+    assert np.array_equal(vv @ a.array % 3 @ b.array % 3, vv @ mat_mul(a, b).array % 3)
 
 
 def test_rank_and_invert():
@@ -104,9 +102,9 @@ def test_fixed_space_of_identity_is_everything():
 
 def test_fixed_space_basis_vectors_are_fixed():
     for m in (M11_GEN_A, M11_GEN_B):
-        for t in fixed_space_basis(m):
-            assert mat_vec_mul(t, m) == t
-    assert fixed_space_basis(negate(identity(5))) == []
+        basis = fixed_space_basis(m)
+        assert np.array_equal(basis @ m.array % 3, basis)
+    assert fixed_space_basis(negate(identity(5))).shape == (0, 5)
 
 
 def test_m11_generators_are_invertible():
@@ -116,43 +114,58 @@ def test_m11_generators_are_invertible():
 
 
 def test_orbit_of_zero_is_trivial():
-    assert orbit((M11_GEN_A, M11_GEN_B), (0, 0, 0, 0, 0)) == {(0, 0, 0, 0, 0)}
+    labels = m11_orbit_labels()
+    assert np.flatnonzero(labels == labels[0]).tolist() == [0]
 
 
 def test_orbit_sizes_partition_nonzero_vectors():
-    gens = (M11_GEN_A, M11_GEN_B)
-    small = orbit(gens, (1, 0, 0, 0, 0))
-    assert len(small) == 22
-    outside = next(
-        tuple(int(x) for x in row)
-        for row in all_vectors(5)
-        if any(row) and tuple(int(x) for x in row) not in small
-    )
-    big = orbit(gens, outside)
-    assert len(big) == 220
-    assert not small & big
+    labels = m11_orbit_labels()
+    # vertex 1 is (1,0,0,0,0); the nonzero vectors form two orbits
+    sizes = np.bincount(labels[1:])
+    assert sorted(sizes[sizes > 0].tolist()) == [22, 220]
+    assert sizes[labels[1]] == 22
 
 
 def test_connection_set_rejects_zero_vector():
-    with pytest.raises(InvalidConnectionSetError):
-        ConnectionSet.from_vectors([(0, 0)])
+    with pytest.raises(InvalidConnectionSetError, match="zero vector"):
+        ConnectionSet([(0, 0)])
 
 
 def test_connection_set_requires_inverse_closure():
-    with pytest.raises(InvalidConnectionSetError):
-        ConnectionSet.from_vectors([(1, 0)])
-    s = ConnectionSet.from_vectors([(1, 0), (2, 0)])
+    with pytest.raises(InvalidConnectionSetError, match=r"inverse of \(1, 0\) is missing"):
+        ConnectionSet([(1, 0)])
+    s = ConnectionSet([(1, 0), (2, 0)])
     assert len(s) == 2
     assert s.dimension == 2
+
+
+def test_connection_set_rejects_the_empty_set():
+    with pytest.raises(InvalidConnectionSetError, match="non-empty"):
+        ConnectionSet([])
+
+
+def test_connection_set_holds_sorted_read_only_arrays():
+    s = ConnectionSet([(2, 1), (0, 2), (1, 2), (0, 1), (2, 1)])
+    # each member once, in lexicographic order; indices increasing
+    assert s.vectors.tolist() == [[0, 1], [0, 2], [1, 2], [2, 1]]
+    assert s.indices.tolist() == [3, 5, 6, 7]
+    for a in (s.vectors, s.indices):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(AttributeError):
+        s.vectors = s.vectors[:2]
+    same = ConnectionSet(np.array([[2, 1], [1, 2], [0, 2], [0, 1]]))
+    assert s == same and hash(s) == hash(same)
+    assert s != ConnectionSet([(0, 1), (0, 2)])
 
 
 def test_connection_set_s1_is_the_22_orbit():
     s1 = connection_set_s1()
     assert s1.dimension == 5
     assert len(s1) == 22
-    assert s1.vectors == orbit((M11_GEN_A, M11_GEN_B), (1, 0, 0, 0, 0))
-    for v in s1:
-        assert tuple((-x) % 3 for x in v) in s1.vectors
+    labels = m11_orbit_labels()
+    assert np.flatnonzero(labels == labels[1]).tolist() == s1.indices.tolist()
+    assert np.array_equal(np.sort(indices_of(-s1.vectors % 3)), s1.indices)
 
 
 def test_all_vectors_of_dimension_zero():

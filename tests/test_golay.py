@@ -1,9 +1,11 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from dezaforge.gf3 import ConnectionSet, GF3Matrix, rank
+from dezaforge.catalog import connection_set_s1
+from dezaforge.gf3 import ConnectionSet, GF3Matrix, all_vectors, rank
 from dezaforge.golay import (
     RankDeficientError,
     code_from_parity_check,
@@ -36,7 +38,7 @@ def test_code_parameters():
 
 def test_code_weight_distribution():
     code = code_from_parity_check(parity_check_H())
-    weights = Counter(sum(1 for x in w if x) for w in code.codewords)
+    weights = Counter(np.count_nonzero(code.codewords, axis=1).tolist())
     assert weights == {0: 1, 5: 132, 6: 132, 8: 330, 9: 110, 11: 24}
 
 
@@ -52,10 +54,10 @@ def test_connection_set_s2():
     assert s2.dimension == 5
     assert len(s2) == 22
     h = parity_check_H()
-    cols = set(map(tuple, h.array.T.tolist()))
-    for c in cols:
-        assert c in s2.vectors
-        assert tuple((-x) % 3 for x in c) in s2.vectors
+    members = set(map(tuple, s2.vectors.tolist()))
+    for c in map(tuple, h.array.T.tolist()):
+        assert c in members
+        assert tuple((-x) % 3 for x in c) in members
 
 
 def test_pair_sums_cover():
@@ -63,22 +65,54 @@ def test_pair_sums_cover():
     assert pair_sums_cover(s2)
 
 
-def test_pair_sums_cover_fails_for_s1_like_corruption():
-    from dezaforge.gf3 import ConnectionSet
+def _swap_pair(s, k, cand):
+    """s with the +-pair of its k-th member swapped for cand and -cand."""
+    members = set(map(tuple, s.vectors.tolist()))
+    drop = tuple(s.vectors[k].tolist())
+    keep = members - {drop, tuple((-x) % 3 for x in drop)}
+    return ConnectionSet(keep | {cand, tuple((-x) % 3 for x in cand)})
 
+
+def test_pair_sums_cover_fails_for_s1_like_corruption():
     s2 = connection_set_S2()
-    vecs = sorted(s2.vectors)
-    drop = vecs[0]
-    drop_neg = tuple((-x) % 3 for x in drop)
-    keep = set(s2.vectors) - {drop, drop_neg}
+    members = set(map(tuple, s2.vectors.tolist()))
     # replace a column pair by some unrelated +-pair
-    for cand in ((1, 1, 1, 1, 1), (1, 0, 1, 0, 1), (2, 1, 2, 1, 0)):
-        if cand not in s2.vectors:
-            corrupted = ConnectionSet.from_vectors(
-                keep | {cand, tuple((-x) % 3 for x in cand)}
-            )
-            break
-    assert not pair_sums_cover(corrupted)
+    cand = next(
+        c for c in ((1, 1, 1, 1, 1), (1, 0, 1, 0, 1), (2, 1, 2, 1, 0)) if c not in members
+    )
+    assert not pair_sums_cover(_swap_pair(s2, 0, cand))
+
+
+def _reference_pair_sums_cover(s2):
+    """pair_sums_cover as a loop over vector tuples, for the oracle test only."""
+    base = sorted(map(tuple, s2.vectors.tolist()))
+    sums = set()
+    for x, y in itertools.combinations(base, 2):
+        if x == tuple((-c) % 3 for c in y):
+            continue
+        sums.add(tuple((a + b) % 3 for a, b in zip(x, y)))
+    members = set(base)
+    if sums & members:
+        return False
+    if any(not any(v) for v in sums):
+        return False
+    return len(sums) == 3**s2.dimension - 1 - len(members)
+
+
+def test_pair_sums_cover_matches_the_tuple_loop():
+    s2 = connection_set_S2()
+    members = set(map(tuple, s2.vectors.tolist()))
+    outside = [tuple(v) for v in all_vectors(5).tolist() if any(v) and tuple(v) not in members]
+    # S1 is S2's image under a linear map, so it covers too; then each member's
+    # pair of S2 swapped in turn for pairs from outside it
+    cases = [s2, connection_set_s1()] + [
+        _swap_pair(s2, k, outside[(7 * k + j) % len(outside)])
+        for k in range(len(s2))
+        for j in range(3)
+    ]
+    results = [pair_sums_cover(s) for s in cases]
+    assert results == [_reference_pair_sums_cover(s) for s in cases]
+    assert results[:2] == [True, True] and not any(results[2:])
 
 
 def test_coset_graph_equals_cayley(gamma_s2):
@@ -90,24 +124,25 @@ def test_coset_graph_equals_cayley(gamma_s2):
 def test_coset_graph_of_a_rescaled_parity_check():
     # doubling a row of H leaves the code unchanged but changes its signed
     # columns, so the coset graph is the Cayley graph on the new columns
-    rows = [list(parity_check_H().row(i)) for i in range(5)]
+    rows = parity_check_H().array.tolist()
     rows[0] = [(2 * x) % 3 for x in rows[0]]
     h2 = GF3Matrix(rows)
     columns = list(map(tuple, h2.array.T.tolist()))
-    signed = ConnectionSet.from_vectors(
-        columns + [tuple((-x) % 3 for x in c) for c in columns]
-    )
+    signed = ConnectionSet(columns + [tuple((-x) % 3 for x in c) for c in columns])
     assert coset_graph(code_from_parity_check(h2)) == cayley(signed)
 
 
 def test_code_enumeration_is_checked_under_optimization(run_optimized):
     result = run_optimized("""
+        import numpy as np
         from dezaforge import golay
         kernel_basis = golay.kernel_basis
         h = golay.parity_check_H()
         for broken in (
-            lambda m: kernel_basis(m)[:-1] + kernel_basis(m)[:1],  # dependent
-            lambda m: [(1,) + (0,) * 10] + kernel_basis(m)[1:],  # outside the kernel
+            # dependent
+            lambda m: np.concatenate([kernel_basis(m)[:-1], kernel_basis(m)[:1]]),
+            # outside the kernel
+            lambda m: np.concatenate([[(1,) + (0,) * 10], kernel_basis(m)[1:]]),
         ):
             golay.kernel_basis = broken
             try:
@@ -144,12 +179,12 @@ def test_reversal_difference_shapes_is_empty():
     # no member of S2 has the palindromic-difference shape (a,b,0,-b,-a),
     # which is why the reversal swaps only non-adjacent vertices
     shapes = {(a, b, 0, -b % 3, -a % 3) for a, b in itertools.product(range(3), repeat=2)}
-    assert shapes & connection_set_S2().vectors == set()
+    assert shapes & set(map(tuple, connection_set_S2().vectors.tolist())) == set()
 
 
 def test_code_of_an_invertible_parity_check_is_the_zero_word():
     code = code_from_parity_check(GF3Matrix([[1, 0], [0, 1]]))
-    assert code.codewords == ((0, 0),)
+    assert code.codewords.tolist() == [[0, 0]]
     assert code.dimension == 0
 
 

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from dezaforge.catalog import (
     c5_reflection,
+    connection_set_s1,
     lifted_switching_involution,
     negation_involution,
     petersen_transposition,
     switching_involution,
 )
 from dezaforge.certify import certify_deza, certify_srg
-from dezaforge.gf3 import ConnectionSet, connection_set_s1
+from dezaforge.gf3 import ConnectionSet, all_vectors
 from dezaforge.graphcore import (
     Graph,
     Graph6ParseError,
@@ -87,7 +88,7 @@ def test_square_is_compact_exact_and_read_only(v, dtype):
 
 
 def test_cayley_triangle():
-    s = ConnectionSet.from_vectors([(1,), (2,)])
+    s = ConnectionSet([(1,), (2,)])
     g = cayley(s)
     assert g.v == 3
     assert g.edge_count() == 3
@@ -100,10 +101,33 @@ def test_cayley_gamma_shape(gamma):
 
 
 def test_cayley_adjacency_is_difference_membership(gamma):
-    s1 = connection_set_s1()
+    members = set(map(tuple, connection_set_s1().vectors.tolist()))
     for u, w in ((0, 5), (17, 100), (12, 12)):
         diff = tuple((u // 3**i % 3 - w // 3**i % 3) % 3 for i in range(5))
-        assert gamma.adjacency[u, w] == (diff in s1.vectors)
+        assert gamma.adjacency[u, w] == (diff in members)
+
+
+@st.composite
+def inverse_closed_sets(draw):
+    """A random inverse-closed, identity-free set of vectors of V(n,3), n <= 3."""
+    n = draw(st.integers(1, 3))
+    # one representative per +-pair: the first nonzero coordinate is 1
+    reps = [v for v in all_vectors(n).tolist() if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, unique_by=tuple))
+    return [[x * sign % 3 for x in v] for v in chosen for sign in (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inverse_closed_sets())
+def test_cayley_matches_difference_membership(vectors):
+    # i ~ j iff vector(i) - vector(j) lies in S, pair by pair
+    g = cayley(ConnectionSet(vectors))
+    members = set(map(tuple, vectors))
+    vv = all_vectors(len(vectors[0])).tolist()
+    want = [
+        [tuple((a - b) % 3 for a, b in zip(x, y)) in members for y in vv] for x in vv
+    ]
+    assert g.adjacency.tolist() == want
 
 
 def test_is_automorphism(petersen, c5):

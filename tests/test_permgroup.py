@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dezaforge.catalog import known_generators
-from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, identity, mat_vec_mul, negate
+from dezaforge.gf3 import GF3Matrix, M11_GEN_A, M11_GEN_B, all_vectors, identity, negate
 from dezaforge.permgroup import (
     NotAPermutationError,
     Permutation,
@@ -15,6 +15,7 @@ from dezaforge.permgroup import (
     build_chain,
     group_order,
     is_involution,
+    orbit_labels,
     perm_from_matrix,
     translation_perm,
 )
@@ -72,7 +73,7 @@ def test_perm_from_matrix_tracks_row_action():
     assert sigma.images[0] == 0
     for idx in (1, 17, 200):
         v = [idx // 3**i % 3 for i in range(5)]
-        assert sigma.images[idx] == _index(mat_vec_mul(v, M11_GEN_A))
+        assert sigma.images[idx] == _index(np.array(v) @ M11_GEN_A.array % 3)
 
 
 def test_perm_from_singular_matrix_rejected():
@@ -86,6 +87,52 @@ def test_perm_from_non_square_matrix_rejected(rows):
     # check refuses it
     with pytest.raises(NotAPermutationError):
         perm_from_matrix(GF3Matrix(rows))
+
+
+def _reference_orbit(generators, seed):
+    """Smallest set holding seed and closed under v -> v*g for every g: the
+    tuple closure that orbit_labels replaced, kept as its oracle."""
+    start = tuple(seed)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in generators:
+                w = tuple(int(c) for c in np.array(v) @ g % 3)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _general_linear_group(n):
+    """Every invertible n x n matrix over GF(3), as an (N, n, n) array."""
+    entries = all_vectors(n * n).reshape(-1, n, n)
+    return entries[np.rint(np.linalg.det(entries)).astype(np.int64) % 3 != 0]
+
+
+GL = {n: _general_linear_group(n) for n in (2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda n: st.tuples(
+            st.just(n), *[st.integers(0, len(GL[n]) - 1)] * 2
+        )
+    )
+)
+def test_orbit_labels_match_the_tuple_orbit(case):
+    n, i, j = case
+    gens = [GL[n][i], GL[n][j]]
+    labels = orbit_labels(3**n, [perm_from_matrix(GF3Matrix(m)).images for m in gens])
+    vectors = all_vectors(n)
+    for idx, v in enumerate(vectors.tolist()):
+        orbit = {tuple(w) for w in vectors[labels == labels[idx]].tolist()}
+        assert orbit == _reference_orbit(gens, v)
+        assert labels[idx] == min(_index(w) for w in orbit)
 
 
 def test_translation_perm_has_order_three():

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from dezaforge import gf3
-from dezaforge.catalog import switching_involution
+from dezaforge.catalog import connection_set_s1, switching_involution
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -49,20 +50,13 @@ def shallow_report():
 
 
 def corrupted_s1():
-    s1 = gf3.connection_set_s1()
-    vecs = sorted(s1.vectors)
-    drop = vecs[0]
-    drop_neg = tuple((-x) % 3 for x in drop)
-    cand = next(
-        tuple(int(c) for c in row)
-        for row in gf3.all_vectors(5)
-        if any(row)
-        and tuple(int(c) for c in row) not in s1.vectors
-        and tuple((-int(c)) % 3 for c in row) != tuple(int(c) for c in row)
-    )
-    return gf3.ConnectionSet.from_vectors(
-        (set(s1.vectors) - {drop, drop_neg}) | {cand, tuple((-x) % 3 for x in cand)}
-    )
+    """S1 with its lexicographically first pair swapped for the pair of the
+    first nonzero vertex outside it."""
+    s1 = connection_set_s1()
+    drop = s1.vectors[0]
+    cand = gf3.all_vectors(5)[np.setdiff1d(np.arange(1, 243), s1.indices)[0]]
+    keep = [v for v in s1.vectors.tolist() if v not in (drop.tolist(), (-drop % 3).tolist())]
+    return gf3.ConnectionSet(keep + [cand, -cand % 3])
 
 
 def test_shallow_run_passes(shallow_report):
@@ -192,7 +186,7 @@ def test_config_echo_lists_the_override_in_lexicographic_order():
 def test_stages_after_a_failed_build_report_the_missing_ancestor():
     # a 4-dimensional S1 builds an 81-vertex graph, which fails build-gamma,
     # so no later stage may certify it
-    s1 = gf3.ConnectionSet.from_vectors([(1, 0, 0, 0), (2, 0, 0, 0)])
+    s1 = gf3.ConnectionSet([(1, 0, 0, 0), (2, 0, 0, 0)])
     report = run_pipeline(PipelineConfig(s1_override=s1))
     assert not stage(report, "build-gamma").passed
     srg = stage(report, "certify-srg-gamma")

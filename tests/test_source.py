@@ -94,3 +94,32 @@ def test_every_public_name_is_used():
             continue
         unused.append(qualname)
     assert unused == []
+
+
+def test_imports_follow_the_readme_module_map():
+    # the README lists the modules bottom up; a module-level import of the
+    # package may reach only modules listed before the importer, so the map
+    # stays a layering (imports deferred into a function are exempt)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Module map, bottom up:", 1)[1].split("\n\n", 2)[1]
+    layers = re.findall(r"^\* `(\w+)`", section, flags=re.MULTILINE)
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(layers) == sorted(modules)
+    upward = []
+    for rank, module in enumerate(layers):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["dezaforge" * node.level, node.module]))
+                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            names = {t.split(".")[1] for t in targets if t.startswith("dezaforge.")}
+            upward += [
+                f"{module} imports {name}"
+                for name in names
+                if name in modules and name not in layers[:rank]
+            ]
+    assert upward == []
