@@ -116,17 +116,17 @@ def _general_linear_group(n):
 GL = {n: _general_linear_group(n) for n in (2, 3)}
 
 
+@st.composite
+def matrix_pairs(draw):
+    """Two random matrices of GL(2,3), or two of GL(3,3)."""
+    group = GL[draw(st.sampled_from([2, 3]))]
+    return [group[draw(st.integers(0, len(group) - 1))] for _ in range(2)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([2, 3]).flatmap(
-        lambda n: st.tuples(
-            st.just(n), *[st.integers(0, len(GL[n]) - 1)] * 2
-        )
-    )
-)
-def test_orbit_labels_match_the_tuple_orbit(case):
-    n, i, j = case
-    gens = [GL[n][i], GL[n][j]]
+@given(matrix_pairs())
+def test_orbit_labels_match_the_tuple_orbit(gens):
+    n = len(gens[0])
     labels = orbit_labels(3**n, [perm_from_matrix(GF3Matrix(m)).images for m in gens])
     vectors = all_vectors(n)
     for idx, v in enumerate(vectors.tolist()):
