@@ -71,7 +71,7 @@ class NotAnAutomorphismError(ValueError):
         )
 
 
-def _check_automorphism(g: Graph, sigma: Permutation) -> None:
+def check_automorphism(g: Graph, sigma: Permutation) -> None:
     """Raise NotAnAutomorphismError unless sigma preserves adjacency."""
     witness = automorphism_witness(g, sigma)
     if witness is not None:
@@ -346,7 +346,7 @@ def automorphism_group(
         )
     seed_list: list[Permutation] = []
     for s in seeds or []:
-        _check_automorphism(g, s)
+        check_automorphism(g, s)
         if not s.is_identity():
             seed_list.append(s)
     if g.v == 0:
@@ -358,7 +358,7 @@ def automorphism_group(
     search.run(start, ncol)
     generators = _sorted_perms(search.found)
     for p in generators:
-        _check_automorphism(g, p)
+        check_automorphism(g, p)
     # all generators together: the depth-0 labels are Aut's orbits
     labels = search._labels(0)
     return AutResult(
@@ -372,19 +372,6 @@ def automorphism_group(
 def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
     """Found generators as permutations, in lexicographic order of images."""
     return sorted((Permutation(p) for p in found), key=lambda p: p.images.tolist())
-
-
-def verify_subgroup(g: Graph, gens: Iterable[Permutation]) -> int:
-    """Exact order of the subgroup generated by verified automorphisms.
-
-    Every generator is first checked against the graph; a failure raises
-    NotAnAutomorphismError with a witness pair. The returned order is a
-    certified lower bound on |Aut(g)|; the empty list yields 1.
-    """
-    checked = list(gens)
-    for s in checked:
-        _check_automorphism(g, s)
-    return group_order(checked)
 
 
 def find_linear_cayley_isomorphism(

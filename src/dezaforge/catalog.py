@@ -4,7 +4,8 @@ Every object here is derived deterministically from the embedded constants:
 the two 5x5 generator matrices over GF(3), the table of their 22-point orbit
 and the Golay parity check matrix. The switching involution, its centralizer
 pair, and the fixed-space translations are recomputed from those sources on
-demand rather than stored as magic numbers.
+demand rather than stored as magic numbers. The automorphism seeds are
+held as affine data, so their group's order needs no stabilizer chain.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from .gf3 import (
     GF3Matrix,
     M11_GEN_A,
     M11_GEN_B,
+    all_vectors,
     fixed_space_basis,
     identity,
     negate,
+    rank,
 )
 from .golay import connection_set_S2, reversal_perm
 from .graphcore import (
@@ -67,6 +70,9 @@ _S1_BASE = np.array([
 ])
 
 
+_NEGATION = negate(identity(5))
+
+
 class UnknownGraphError(ValueError):
     def __init__(self, name: str) -> None:
         self.name = name
@@ -76,21 +82,28 @@ class UnknownGraphError(ValueError):
 
 
 def _closure(gens: np.ndarray) -> np.ndarray:
-    """The group that the stacked 5x5 GF(3) gens generate, sorted by entries.
+    """The group that the stacked n x n GF(3) gens generate, sorted by entries.
 
-    Grown by right multiplication one frontier at a time; np.unique on base-3
-    codes of the flattened entries (first most significant) drops repeats.
+    Each matrix is held as the base-3 codes of its rows, first entry most
+    significant; right multiplication by a generator maps each row code
+    through that generator's table. A dict keyed by the code of the whole
+    matrix (its flattened entries in base 3) drops repeats at each frontier.
     """
-    weights = 3 ** np.arange(24, -1, -1, dtype=np.int64)
-    group = frontier = np.eye(5, dtype=np.int64)[None]
-    while len(frontier):
-        products = (frontier[:, None] @ gens % 3).reshape(-1, 5, 5)
-        merged = np.concatenate([group, products])
-        _, first = np.unique(merged.reshape(-1, 25) @ weights, return_index=True)
-        # the sorted group comes first in merged, so new matrices index past it
-        frontier = merged[first[first >= len(group)]]
-        group = merged[first]
-    return group
+    n = gens.shape[-1]
+    digits = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = digits ** n
+    vectors = all_vectors(n)[:, ::-1]  # row c is the vector of code c
+    tables = (vectors @ gens % 3) @ digits
+    rows, found, seen = digits[None], [], {}
+    while len(rows):
+        codes = (rows @ weights).tolist()
+        fresh = {code: i for i, code in enumerate(codes) if code not in seen}
+        seen.update(fresh)
+        found.append(rows[list(fresh.values())])
+        rows = tables[:, found[-1]].reshape(-1, n)
+    # seen lists the codes in the order of found's rows
+    order = np.argsort(np.fromiter(seen, np.int64, len(seen)))
+    return vectors[np.concatenate(found)[order]]
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +167,7 @@ def switching_involution() -> Permutation:
 
 
 def negation_involution() -> Permutation:
-    return perm_from_matrix(negate(identity(5)))
+    return perm_from_matrix(_NEGATION)
 
 
 def negated_switching_involution() -> Permutation:
@@ -177,30 +190,44 @@ def centralizer_pair() -> tuple[GF3Matrix, GF3Matrix]:
     raise AssertionError("centralizer is not generated by any matrix pair")
 
 
-def known_generators(name: str) -> list[Permutation]:
-    """Published automorphism generators for the named graph, if any.
-
-    gamma: the 243 translations (via a basis), the two matrix generators,
-    and negation, generating the full group of order 3 849 120. delta: the
-    27 switching-fixed translations (via a basis), negation, and the
-    centralizer pair, generating the order-2592 group.
+def affine_seeds(name: str) -> tuple[np.ndarray, list[GF3Matrix]]:
+    """Published automorphism seeds as the rows t and matrices M of the maps
+    v -> v + t and v -> vM. gamma: a basis of V, the two matrix generators
+    and negation; delta: a basis of the switching-fixed space, negation and
+    the centralizer pair; no seeds for any other graph.
     """
     if name == "gamma":
-        return [
-            *(translation_perm(t) for t in np.eye(5, dtype=np.int64)),
-            perm_from_matrix(M11_GEN_A),
-            perm_from_matrix(M11_GEN_B),
-            negation_involution(),
-        ]
+        return np.eye(5, dtype=np.int64), [M11_GEN_A, M11_GEN_B, _NEGATION]
     if name == "delta":
-        c1, c2 = centralizer_pair()
-        return [
-            *(translation_perm(t) for t in fixed_space_basis(switching_matrix())),
-            negation_involution(),
-            perm_from_matrix(c1),
-            perm_from_matrix(c2),
-        ]
-    return []
+        return fixed_space_basis(switching_matrix()), [_NEGATION, *centralizer_pair()]
+    return np.empty((0, 5), dtype=np.int64), []
+
+
+def known_generators(name: str) -> list[Permutation]:
+    """The permutations of affine_seeds(name), translations first. gamma's
+    generate the full group of order 3 849 120, delta's that of order 2592."""
+    translations, matrices = affine_seeds(name)
+    return [*map(translation_perm, translations), *map(perm_from_matrix, matrices)]
+
+
+def affine_order(translations: np.ndarray, matrices: list[GF3Matrix]) -> int:
+    """Order of the group that v -> v + t, for t a row of translations, and
+    v -> vM, for M in matrices, generate on V(5, 3): W x| L for L = <matrices>
+    and W the span of the translations closed under L, so 3^dim W * |L|
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 4). -I is central of order 2: it doubles the group of the other
+    matrices unless that holds it. The M11 pair's group is matrix_group().
+    """
+    rest = [m for m in matrices if m != _NEGATION]
+    stacked = np.array([m.array for m in rest], np.int64).reshape(-1, 5, 5)
+    group = matrix_group() if rest == [M11_GEN_A, M11_GEN_B] else _closure(stacked)
+    doubled = len(rest) < len(matrices) and not (group == _NEGATION.array).all((1, 2)).any()
+    span = translations
+    while True:  # -I keeps every subspace, so only the rest can grow the span
+        grown = np.concatenate([span, *(span @ m.array % 3 for m in rest)])
+        if rank(GF3Matrix(grown)) == rank(GF3Matrix(span)):
+            return 3 ** rank(GF3Matrix(span)) * len(group) * (1 + doubled)
+        span = grown
 
 
 def petersen_transposition() -> Permutation:

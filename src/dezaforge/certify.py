@@ -90,6 +90,14 @@ def certify_srg(g: Graph) -> SrgCertificate:
     which is exhaustive common-neighbour counting. Requires 0 < k < v-1 so
     that both lambda and mu are witnessed.
     """
+    return _srg_parameters(g, witnesses=True)
+
+
+def _srg_parameters(g: Graph, witnesses: bool = False) -> SrgCertificate:
+    """certify_srg's tests, but a non-constant common-neighbour count names
+    no pairs unless witnesses is set: dual_seidel_switch, which needs only
+    whether g is strongly regular and its parameters, builds none.
+    """
     cert = SrgCertificate(v=g.v)
     if g.v < 2:
         cert.failure = {"reason": "too few vertices"}
@@ -114,19 +122,17 @@ def certify_srg(g: Graph) -> SrgCertificate:
         cert.failure = {"reason": f"degree {k} is degenerate (complete or empty)"}
         return cert
     n2 = g.square()
-    off = ~np.eye(g.v, dtype=bool)
     adj = g.adjacency
     lam_vals = _distinct_counts(n2[adj])
-    mu_vals = _distinct_counts(n2[off & ~adj])
+    nonadjacent = ~np.eye(g.v, dtype=bool) & ~adj
+    mu_vals = _distinct_counts(n2[nonadjacent])
     if len(lam_vals) != 1 or len(mu_vals) != 1:
-        witnesses = {}
-        if len(lam_vals) != 1:
-            pairs = _pairs_with_values(n2, adj, lam_vals[:2])
-            witnesses["adjacent"] = pairs
-        if len(mu_vals) != 1:
-            pairs = _pairs_with_values(n2, off & ~adj, mu_vals[:2])
-            witnesses["nonadjacent"] = pairs
-        cert.failure = {"reason": "common-neighbour count not constant", **witnesses}
+        cert.failure = {"reason": "common-neighbour count not constant"}
+        for key, mask, vals in (
+            ("adjacent", adj, lam_vals), ("nonadjacent", nonadjacent, mu_vals)
+        ):
+            if witnesses and len(vals) != 1:
+                cert.failure[key] = _pairs_with_values(n2, mask, vals[:2])
         return cert
     lam, mu = int(lam_vals[0]), int(mu_vals[0])
     cert.lam, cert.mu = lam, mu

@@ -189,26 +189,13 @@ def _cmd_switch(args: argparse.Namespace) -> tuple[Any, int]:
         raise UsageError(f"switch requires a named graph, got {name!r}")
     g = build_graph(name)
     inv_name, perm = _pick_involution(name, args.involution)
+    payload = {"type": "switch", "graph": name, "involution": inv_name}
     try:
         switched = dual_seidel_switch(g, perm, label=f"{name}-switched")
     except SwitchingInapplicableError as exc:
-        payload = {
-            "type": "switch",
-            "graph": name,
-            "involution": inv_name,
-            "detail": str(exc),
-            "pass": False,
-        }
-        return payload, 1
-    payload = {
-        "type": "switch",
-        "graph": name,
-        "involution": inv_name,
-        "classification": involution_pair_counts(g, perm),
-        "result": graph_summary(switched),
-        "pass": True,
-    }
-    return payload, 0
+        return {**payload, "detail": str(exc), "pass": False}, 1
+    payload["classification"] = involution_pair_counts(g, perm)
+    return {**payload, "result": graph_summary(switched), "pass": True}, 0
 
 
 def _cmd_product(args: argparse.Namespace) -> tuple[Any, int]:
@@ -278,10 +265,6 @@ def _add_budgets(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--time-budget", type=float, default=TIME_BUDGET)
 
 
-def _add_out(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first main call and kept."""
@@ -295,18 +278,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="full pipeline, one JSON report")
     run.add_argument("--deep", action="store_true", help="also compute exact Aut orders")
     _add_budgets(run)
-    _add_out(run)
     run.set_defaults(handler=_cmd_run)
 
     build = subs.add_parser("build", help="construct a graph and print its summary")
     _add_graph_arg(build)
-    _add_out(build)
     build.set_defaults(handler=_cmd_build)
 
     for cmd in ("certify-srg", "certify-deza", "certify-ddg"):
         sub = subs.add_parser(cmd, help=f"{cmd.split('-')[1]} certificate")
         _add_graph_arg(sub)
-        _add_out(sub)
         sub.set_defaults(handler=_cmd_certify)
 
     spectrum = subs.add_parser("spectrum", help="certify a claimed spectrum or discover one")
@@ -314,39 +294,32 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument(
         "--claim", metavar="CLAIM", help='eigenvalue:multiplicity list, e.g. "22:1,4:132,-5:110"'
     )
-    _add_out(spectrum)
     spectrum.set_defaults(handler=_cmd_spectrum)
 
     involutions = subs.add_parser("involutions", help="classify registered involutions")
     _add_graph_arg(involutions)
-    _add_out(involutions)
     involutions.set_defaults(handler=_cmd_involutions)
 
     switch = subs.add_parser("switch", help="dual Seidel switch by a registered involution")
     _add_graph_arg(switch)
     switch.add_argument("--involution", metavar="NAME")
-    _add_out(switch)
     switch.set_defaults(handler=_cmd_switch)
 
     product = subs.add_parser("product", help="strong product with K2")
     _add_graph_arg(product)
-    _add_out(product)
     product.set_defaults(handler=_cmd_product)
 
     aut = subs.add_parser("aut", help="automorphism group order by seeded refinement search")
     _add_graph_arg(aut)
     _add_budgets(aut)
-    _add_out(aut)
     aut.set_defaults(handler=_cmd_aut)
 
     iso = subs.add_parser("iso", help="linear isomorphism between connection sets")
     iso.add_argument("source", help="s1 or s2")
     iso.add_argument("target", help="s1 or s2")
-    _add_out(iso)
     iso.set_defaults(handler=_cmd_iso)
 
     golay = subs.add_parser("golay", help="ternary Golay code checks")
-    _add_out(golay)
     golay.set_defaults(handler=_cmd_golay)
 
     export = subs.add_parser("export", help="serialize a graph")
@@ -354,9 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--format", choices=("json", "graph6", "edgelist"), default="json"
     )
-    _add_out(export)
     export.set_defaults(handler=_cmd_export)
 
+    for sub in subs.choices.values():  # every subcommand ends with --out
+        sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     return parser
 
 

@@ -7,7 +7,8 @@ set. Adjacency is held as a read-only numpy boolean matrix.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..v-1."""
 
-    __slots__ = ("_adj", "_square", "label")
+    __slots__ = ("_adj", "_square", "_derive_square", "label")
 
     def __init__(self, adjacency: np.ndarray, label: str = "") -> None:
         a = np.asarray(adjacency, dtype=bool)
@@ -49,6 +50,7 @@ class Graph:
         a.setflags(write=False)
         self._adj = a
         self._square: np.ndarray | None = None
+        self._derive_square: Callable[[], np.ndarray] | None = None
         self.label = label
 
     # -- basic queries -------------------------------------------------------
@@ -71,11 +73,15 @@ class Graph:
 
         Formed on first use and kept, as the graph is immutable. Its dtype is
         the smallest unsigned one that holds v, which cannot wrap: an entry
-        counts neighbours of one vertex, at most v - 1.
+        counts neighbours of one vertex, at most v - 1. The switch and the K2
+        product set _derive_square, which reads it from their input's instead.
         """
         if self._square is None:
-            dtype = np.min_scalar_type(self.v)
-            self._square = exact_matmul(self._adj, self._adj).astype(dtype)
+            if self._derive_square is None:
+                dtype = np.min_scalar_type(self.v)
+                self._square = exact_matmul(self._adj, self._adj).astype(dtype)
+            else:
+                self._square, self._derive_square = self._derive_square(), None
             self._square.setflags(write=False)
         return self._square
 
@@ -118,6 +124,8 @@ class Graph:
 
 def _abs_max(x: np.ndarray) -> int:
     """Largest absolute entry as a Python int; np.abs would wrap int64 min."""
+    if x.dtype.kind in "bu":  # no negative entry, so one pass serves
+        return int(x.max(initial=0))
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
@@ -127,8 +135,10 @@ def _product_path(left: np.ndarray, right: np.ndarray) -> str:
 
     Every partial sum of entry (i, k) is a sum of some of the terms
     left[i, j] * right[j, k], so its absolute value is at most the absolute
-    row sum of left times the largest absolute entry of right. The bound is
-    formed in Python ints, so it cannot wrap. Below 2^p, for p the significand
+    row sum of left times the largest absolute entry of right, at most
+    left_max * inner * right_max; the row sums are read only when that coarse
+    bound is not below 2^24. The bound is formed in Python ints, so it cannot
+    wrap. Below 2^p, for p the significand
     bits of a float format (24 for float32, 53 for float64), every term,
     partial sum and input entry that matters is an integer that format holds
     exactly, in whatever order BLAS adds (Ozaki, Ogita, Oishi & Rump, Numer.
@@ -142,12 +152,11 @@ def _product_path(left: np.ndarray, right: np.ndarray) -> str:
         bound = inner
     else:
         left_max, right_max = _abs_max(left), _abs_max(right)
-        if left_max * inner <= _INT64_MAX:
+        bound = left_max * inner * right_max
+        if bound >= _FLOAT32_EXACT and left_max * inner <= _INT64_MAX:
             # each absolute row sum is at most left_max * inner, so none wraps
             rows = int(np.abs(left).sum(axis=-1, dtype=np.int64).max(initial=0))
             bound = rows * right_max
-        else:
-            bound = left_max * inner * right_max
     if bound < _FLOAT32_EXACT:
         return "float32"
     if bound < _FLOAT64_EXACT:
@@ -203,22 +212,25 @@ def cayley(s: gf3.ConnectionSet, label: str = "") -> Graph:
     return Graph(a, label)
 
 
+def _k2_square(g: Graph) -> np.ndarray:
+    """A'^2 = 2(A^2 + A) (x) J_2 + I for g[K2]'s A' = (A + I) (x) J_2 - I. No
+    entry exceeds 2v - 1, so the dtype of 2v holds it."""
+    half = 2 * (g.square().astype(np.min_scalar_type(2 * g.v)) + g.adjacency)
+    return np.kron(half, np.ones((2, 2), half.dtype)) + np.eye(2 * g.v, dtype=half.dtype)
+
+
 def strong_product_K2(g: Graph, label: str = "") -> Graph:
     """Strong product with a single edge: each vertex is doubled.
 
     Vertex (u, copy) has index 2u + copy; (u,i) ~ (w,j) iff u = w and i != j,
-    or u ~ w. A k-regular input yields a (2k+1)-regular product.
+    or u ~ w: the adjacency is (A + I) (x) J_2 - I. A k-regular input yields
+    a (2k+1)-regular product.
     """
-    v = g.v
-    a = np.zeros((2 * v, 2 * v), dtype=bool)
-    src = g.adjacency
-    for i in (0, 1):
-        for j in (0, 1):
-            a[i::2, j::2] = src
-    idx = np.arange(v)
-    a[2 * idx, 2 * idx + 1] = True
-    a[2 * idx + 1, 2 * idx] = True
-    return Graph(a, label)
+    a = np.kron(g.adjacency | np.eye(g.v, dtype=bool), np.ones((2, 2), dtype=bool))
+    np.fill_diagonal(a, False)
+    product = Graph(a, label)
+    product._derive_square = lambda: _k2_square(g)
+    return product
 
 
 def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:
@@ -283,7 +295,8 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
     those inputs the structural preconditions above are the meaningful ones.
 
     Row u of PM is row sigma(u) of M: the switched neighbourhood of u is
-    the original neighbourhood of sigma(u) (of u itself when fixed).
+    the original neighbourhood of sigma(u) (of u itself when fixed). As
+    PM = MP, (PM)^2 = M^2, so the output shares g's A^2.
     """
     if sigma.degree != g.v:
         raise SwitchingInapplicableError("permutation degree does not match graph")
@@ -298,20 +311,18 @@ def dual_seidel_switch(g: Graph, sigma: Permutation, label: str = "") -> Graph:
             "only non-adjacent interchanges are allowed"
         )
     # certify imports this module, so the import is deferred to the call
-    from .certify import certify_srg
+    from .certify import _srg_parameters
 
-    srg = certify_srg(g)
-    if srg.passed:
-        k, lam, mu = srg.k, srg.lam, srg.mu
-        if k == mu:
-            raise SwitchingInapplicableError(
-                f"strongly regular input has k = mu = {k}"
-            )
-        if lam == mu:
-            raise SwitchingInapplicableError(
-                f"strongly regular input has lambda = mu = {mu}"
-            )
-    return Graph(g.adjacency[sigma.images], label)
+    srg = _srg_parameters(g)
+    if srg.passed and srg.k == srg.mu:
+        raise SwitchingInapplicableError(f"strongly regular input has k = mu = {srg.k}")
+    if srg.passed and srg.lam == srg.mu:
+        raise SwitchingInapplicableError(
+            f"strongly regular input has lambda = mu = {srg.mu}"
+        )
+    switched = Graph(g.adjacency[sigma.images], label)
+    switched._derive_square = g.square
+    return switched
 
 
 def lift_involution_to_product(sigma: Permutation) -> Permutation:
@@ -335,9 +346,13 @@ def lift_involution_to_product(sigma: Permutation) -> Permutation:
 _SIXBIT_WEIGHTS = 1 << np.arange(5, -1, -1)
 
 
+@lru_cache(maxsize=16)
 def _graph6_bit_order(v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each graph6 bit: the upper triangle, column by column."""
+    """Row and column of each graph6 bit: the upper triangle, column by
+    column. Kept per v, read-only."""
     cols, rows = np.tril_indices(v, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     return rows, cols
 
 

@@ -12,6 +12,8 @@ import pytest
 import dezaforge
 from dezaforge import graphcore
 from dezaforge.catalog import build_graph
+from dezaforge.graphcore import is_automorphism
+from dezaforge.permgroup import group_order
 
 
 @pytest.fixture
@@ -77,6 +79,20 @@ def gen(monkeypatch):
     pytest.importorskip("networkx")
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     return pytest.importorskip("gen")
+
+
+@pytest.fixture(scope="session")
+def verified_order():
+    """order(g, gens): the Schreier-Sims order of the group that gens
+    generate, after checking each one as an automorphism of g."""
+
+    def order(g, gens):
+        gens = list(gens)
+        for sigma in gens:
+            assert is_automorphism(g, sigma), sigma
+        return group_order(gens)
+
+    return order
 
 
 @pytest.fixture(scope="session")

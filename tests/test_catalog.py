@@ -1,10 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dezaforge import catalog
 from dezaforge.catalog import (
     GRAPH_NAMES,
     UnknownGraphError,
+    affine_order,
+    affine_seeds,
     build_graph,
     c5_reflection,
     centralizer_pair,
@@ -25,9 +31,17 @@ from dezaforge.gf3 import (
     fixed_space_basis,
     identity,
     mat_mul,
+    negate,
+    rank,
 )
 from dezaforge.graphcore import is_automorphism
-from dezaforge.permgroup import Permutation, group_order, is_involution, perm_from_matrix
+from dezaforge.permgroup import (
+    Permutation,
+    group_order,
+    is_involution,
+    perm_from_matrix,
+    translation_perm,
+)
 from dezaforge.pipeline import involution_row
 
 
@@ -167,3 +181,94 @@ def test_group_selections_match_a_loop_over_the_group():
         if group_order([perms[i], perms[j]]) == len(cent)
     )
     assert pair == centralizer_pair()
+
+
+def _reference_closure(gens):
+    """The closure this module used before its row-code tables: int64
+    matrix products per frontier, with np.unique on base-3 codes of the
+    flattened entries (first most significant) dropping repeats."""
+    n = gens.shape[-1]
+    weights = 3 ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    group = frontier = np.eye(n, dtype=np.int64)[None]
+    while len(frontier):
+        products = (frontier[:, None] @ gens % 3).reshape(-1, n, n)
+        merged = np.concatenate([group, products])
+        _, first = np.unique(merged.reshape(-1, n * n) @ weights, return_index=True)
+        frontier = merged[first[first >= len(group)]]
+        group = merged[first]
+    return group
+
+
+def test_closure_of_the_m11_pair_matches_the_unique_closure():
+    gens = np.stack([M11_GEN_A.array, M11_GEN_B.array])
+    expected = _reference_closure(gens)
+    assert matrix_group().dtype == expected.dtype
+    assert matrix_group().shape == expected.shape
+    assert matrix_group().tobytes() == expected.tobytes()
+    c1, c2 = centralizer_pair()
+    pair = np.stack([c1.array, c2.array])
+    assert catalog._closure(pair).tobytes() == _reference_closure(pair).tobytes()
+
+
+def _invertible(n):
+    return st.lists(
+        st.integers(0, 2), min_size=n * n, max_size=n * n
+    ).map(lambda flat: np.array(flat, dtype=np.int64).reshape(n, n)).filter(
+        lambda m: rank(GF3Matrix(m)) == n
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(_invertible(n), min_size=0, max_size=3)))
+def test_closure_matches_the_unique_closure_on_small_groups(mats):
+    # GL(1,3), GL(2,3) and GL(3,3) (order 11232) hold every closure drawn here
+    n = len(mats[0]) if mats else 2
+    gens = np.array(mats, dtype=np.int64).reshape(-1, n, n)
+    got = catalog._closure(gens)
+    expected = _reference_closure(gens)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _perms(translations, matrices):
+    return [*(translation_perm(t) for t in translations), *map(perm_from_matrix, matrices)]
+
+
+def _diagonal(*entries):
+    return GF3Matrix(np.diag(entries))
+
+
+_CYCLE = GF3Matrix(np.roll(np.eye(5, dtype=np.int64), 1, axis=1))
+_NEG = negate(identity(5))
+
+
+@pytest.mark.parametrize(
+    "translations, matrices, expected",
+    [
+        # the M11 pair alone: matrix_group()
+        (np.empty((0, 5), dtype=np.int64), [M11_GEN_A, M11_GEN_B], 7920),
+        # gamma: 243 translations, M11 and -I, which M11 does not hold
+        (*affine_seeds("gamma"), 243 * 2 * 7920),
+        # delta: 27 switching-fixed translations and the centralizer with -I
+        (*affine_seeds("delta"), 27 * 96),
+        # -I = diag(2,2,1,1,1) diag(1,1,2,2,2) is in <L>, so it adds no factor
+        ([(1, 0, 0, 0, 0)], [_NEG, _diagonal(2, 2, 1, 1, 1), _diagonal(1, 1, 2, 2, 2)], 3 * 4),
+        # one translation whose span the coordinate 5-cycle grows to all of V
+        ([(1, 0, 0, 0, 0)], [_CYCLE, _NEG], 243 * 5 * 2),
+        # a translation alone, and nothing at all
+        ([(0, 2, 1, 0, 0)], [], 3),
+        (np.empty((0, 5), dtype=np.int64), [], 1),
+    ],
+)
+def test_affine_orders_match_schreier_sims(translations, matrices, expected):
+    translations = np.array(translations, dtype=np.int64).reshape(-1, 5)
+    assert affine_order(translations, matrices) == expected
+    assert group_order(_perms(translations, matrices)) == expected
+
+
+def test_known_generators_are_the_affine_seeds():
+    for name in GRAPH_NAMES:
+        assert known_generators(name) == _perms(*affine_seeds(name))
+    translations, matrices = affine_seeds("delta")
+    assert rank(GF3Matrix(translations)) == 3
+    assert len(catalog._closure(np.stack([m.array for m in matrices]))) == 96

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dezaforge.catalog import (
     c5_reflection,
@@ -15,11 +16,13 @@ from dezaforge.catalog import (
 )
 from dezaforge.certify import certify_deza, certify_srg
 from dezaforge.gf3 import ConnectionSet, all_vectors
+from dezaforge import certify
 from dezaforge.graphcore import (
     Graph,
     Graph6ParseError,
     SwitchingInapplicableError,
     cayley,
+    _graph6_bit_order,
     _product_path,
     dual_seidel_switch,
     exact_matmul,
@@ -234,6 +237,89 @@ def test_switched_product_differs_from_product_of_switch(gamma, delta, delta_k2)
     assert product_of_switch != delta_k2
 
 
+def _assert_square_is_the_product(g):
+    assert g.square().dtype == np.min_scalar_type(g.v)
+    assert np.array_equal(g.square(), exact_matmul(g.adjacency, g.adjacency))
+    assert not g.square().flags.writeable
+
+
+def test_switch_and_product_squares_are_read_from_the_input(petersen, matmul_calls):
+    # delta, gamma-k2 and delta-k2 come from gamma, so only gamma's is a product
+    gamma = cayley(connection_set_s1())
+    delta = dual_seidel_switch(gamma, switching_involution())
+    gamma_k2 = strong_product_K2(gamma)
+    delta_k2 = dual_seidel_switch(gamma_k2, lifted_switching_involution())
+    for g in (delta, gamma_k2, delta_k2):
+        g.square()
+    assert [a.shape for _, a, _ in matmul_calls if a is not None] == [(243, 243)]
+    assert delta.square() is gamma.square()
+    assert delta_k2.square() is gamma_k2.square()
+    for g in (gamma, delta, gamma_k2, delta_k2):
+        _assert_square_is_the_product(g)
+    switched = dual_seidel_switch(petersen, petersen_transposition())
+    _assert_square_is_the_product(switched)
+    _assert_square_is_the_product(strong_product_K2(switched))
+
+
+def test_k2_squares_of_the_closed_form_family(gen):
+    for e in gen.closed_form_family():
+        _assert_square_is_the_product(strong_product_K2(Graph(e.adj)))
+
+
+@st.composite
+def _switchable(draw):
+    """A graph and an involution that is an automorphism of it swapping only
+    non-adjacent pairs: a random graph made invariant under the involution,
+    less the edges {u, sigma(u)}."""
+    v = draw(st.integers(2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(v)
+    images = np.arange(v)
+    for i in range(draw(st.integers(1, v // 2))):
+        a, b = order[2 * i], order[2 * i + 1]
+        images[a], images[b] = b, a
+    upper = np.triu(rng.random((v, v)) < draw(st.sampled_from([0.2, 0.5, 0.8])), 1)
+    adj = upper | upper.T
+    adj |= adj[np.ix_(images, images)]
+    adj[np.arange(v), images] = False
+    return Graph(adj), Permutation(images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_switchable(), st.booleans())
+def test_switch_and_k2_squares_equal_the_product(case, square_first):
+    g, sigma = case
+    if square_first:
+        g.square()
+    try:
+        switched = dual_seidel_switch(g, sigma)
+    except SwitchingInapplicableError:
+        # a strongly regular input with k = mu or lambda = mu
+        assume(False)
+    _assert_square_is_the_product(switched)
+    _assert_square_is_the_product(strong_product_K2(g))
+    _assert_square_is_the_product(strong_product_K2(switched))
+
+
+def test_switch_builds_no_srg_witnesses(gamma_k2, monkeypatch):
+    # gamma-k2 is not strongly regular; the switch needs only that fact
+    def refuse(*args):
+        raise AssertionError("witness pairs built")
+
+    monkeypatch.setattr(certify, "_pairs_with_values", refuse)
+    dual_seidel_switch(gamma_k2, lifted_switching_involution())
+    with pytest.raises(AssertionError, match="witness pairs built"):
+        certify.certify_srg(gamma_k2)
+
+
+def test_graph6_bit_order_is_kept_read_only():
+    rows, cols = _graph6_bit_order(7)
+    assert _graph6_bit_order(7)[0] is rows
+    assert not rows.flags.writeable and not cols.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0] = 1
+
+
 @pytest.mark.parametrize("name", ["c5", "petersen", "gamma"])
 def test_graph6_round_trip(name, request):
     g = request.getfixturevalue(name)
@@ -356,6 +442,65 @@ def _near_threshold(draw):
 def test_exact_matmul_equals_object_product(pair):
     left, right = pair
     assert exact_matmul(left, right).tolist() == _object_product(left, right).tolist()
+
+
+def _reference_product_path(left, right):
+    """_product_path as it was before the coarse bound came first: the
+    absolute row sums of left were read whenever they could not wrap."""
+
+    def abs_max(x):
+        return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+    if left.dtype == object or right.dtype == object:
+        return "object"
+    inner = left.shape[-1]
+    if left.dtype == bool and right.dtype == bool:
+        bound = inner
+    else:
+        left_max, right_max = abs_max(left), abs_max(right)
+        if left_max * inner <= 2**63 - 1:
+            rows = int(np.abs(left).sum(axis=-1, dtype=np.int64).max(initial=0))
+            bound = rows * right_max
+        else:
+            bound = left_max * inner * right_max
+    for path, limit in (("float32", 2**24), ("float64", 2**53)):
+        if bound < limit:
+            return path
+    return "int64" if bound <= 2**63 - 1 else "object"
+
+
+_EXTREMES = [0, 1, -1, 2**12, 2**24, -(2**24), 2**31, 2**53, 2**62, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def _operand(draw, shape):
+    dtype = draw(st.sampled_from([bool, np.uint8, np.uint16, np.int64, object]))
+    if dtype is bool:
+        return draw(arrays(bool, shape))
+    if dtype is object:
+        flat = draw(st.lists(
+            st.integers(-(2**70), 2**70), min_size=shape[0] * shape[1],
+            max_size=shape[0] * shape[1],
+        ))
+        return np.array(flat, dtype=object).reshape(shape)
+    info = np.iinfo(dtype)
+    # entries up to a drawn power of two, so that bounds land near 2^24 and 2^53
+    top = min(2 ** draw(st.integers(0, 64)), int(info.max))
+    extremes = [x for x in _EXTREMES if info.min <= x <= info.max] + [info.max]
+    elements = st.sampled_from(extremes) | st.integers(max(-top, int(info.min)), top)
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*(st.integers(1, 4) for _ in range(3))).flatmap(
+    lambda d: st.tuples(_operand((d[0], d[1])), _operand((d[1], d[2])))
+))
+# coarse bounds 2^24 and 2^53 whose row sums fall below them
+@example((np.array([[2**23, 1]]), np.array([[1], [1]])))
+@example((np.array([[2**52, -1]]), np.array([[1], [1]])))
+def test_product_path_matches_the_row_sum_first_path(pair):
+    left, right = pair
+    assert _product_path(left, right) == _reference_product_path(left, right)
 
 
 def test_from_graph6_accepts_header(petersen):

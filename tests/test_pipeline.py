@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from dezaforge import gf3
-from dezaforge.catalog import connection_set_s1, switching_involution
+from dezaforge import autiso, gf3, pipeline
+from dezaforge.catalog import (
+    build_graph,
+    connection_set_s1,
+    known_generators,
+    switching_involution,
+)
+from dezaforge.gf3 import M11_GEN_A, M11_GEN_B
+from dezaforge.permgroup import StabilizerChain, perm_from_matrix
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -98,6 +105,54 @@ def test_subgroup_stage_details(shallow_report):
     assert cert["full_seed_order"] == 3_849_120
 
 
+def _subgroup_stage(gamma):
+    ctx = pipeline._Context(PipelineConfig(), connection_set_s1(), connection_set_s1())
+    ctx.objects["gamma"] = gamma
+    return pipeline._subgroup_orders(ctx)
+
+
+def test_subgroup_orders_checks_every_seed_and_sifts_nothing(monkeypatch):
+    checked, sifts = [], []
+    witness = autiso.automorphism_witness
+    sift = StabilizerChain.sift
+
+    def counted_witness(g, sigma):
+        checked.append(sigma)
+        return witness(g, sigma)
+
+    def counted_sift(self, *args, **kwargs):
+        sifts.append(args)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(autiso, "automorphism_witness", counted_witness)
+    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
+    cert, ok = _subgroup_stage(build_graph("gamma"))
+    assert ok and (cert["matrix_generators_order"], cert["full_seed_order"]) == (
+        7920, 3_849_120
+    )
+    # the two M11 generators, then the eight seeds: five translations, the
+    # two generators again and negation
+    pair = [perm_from_matrix(M11_GEN_A), perm_from_matrix(M11_GEN_B)]
+    assert checked == pair + known_generators("gamma")
+    assert sifts == []
+
+
+def test_subgroup_orders_rejects_a_non_automorphism_seed():
+    # with S1 corrupted the M11 generators are not automorphisms of gamma
+    gamma = pipeline.cayley(corrupted_s1())
+    with pytest.raises(autiso.NotAnAutomorphismError) as info:
+        _subgroup_stage(gamma)
+    u, w = info.value.witness
+    sigma = perm_from_matrix(M11_GEN_A)
+    assert gamma.adjacency[u, w] != gamma.adjacency[sigma.images[u], sigma.images[w]]
+    report = run_pipeline(PipelineConfig(s1_override=corrupted_s1()))
+    assert stage(report, "subgroup-orders").certificate == {
+        "type": "error",
+        "error": "NotAnAutomorphismError",
+        "message": f"permutation does not preserve adjacency at the pair ({u}, {w})",
+    }
+
+
 def test_deep_run_adds_aut_stages():
     report = run_pipeline(PipelineConfig(deep=True))
     names = [s.name for s in report.stages]
@@ -154,9 +209,10 @@ def test_deep_run_squares_each_graph_once(matmul_calls):
     report = run_pipeline(PipelineConfig(deep=True))
     assert report.overall_pass
     squares = [(module, a) for module, a, _ in matmul_calls if a is not None]
-    # gamma, gamma-s2, delta, gamma-k2 and delta-k2, one A^2 each, by Graph.square
-    assert sorted(a.shape[0] for _, a in squares) == [243, 243, 243, 486, 486]
-    assert len({id(a) for _, a in squares}) == 5
+    # gamma and gamma-s2, one A^2 each, by Graph.square; delta, gamma-k2 and
+    # delta-k2 read theirs from gamma's through the switch and the product
+    assert sorted(a.shape[0] for _, a in squares) == [243, 243]
+    assert len({id(a) for _, a in squares}) == 2
     assert {module for module, _ in squares} == {"graphcore"}
     # every graph of the run has diameter 2, which A^2 settles without a product
     assert not any(module == "certify" for module, _, _ in matmul_calls)
