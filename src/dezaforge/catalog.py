@@ -124,8 +124,9 @@ def switching_matrix() -> GF3Matrix:
     space has dimension 3, i.e. 27 fixed vectors.
     """
     group = matrix_group()
+    small = group.astype(np.int8)  # a product's entries are at most 20
     ident = np.eye(5, dtype=np.int64)
-    squares_to_one = (group @ group % 3 == ident).all(axis=(1, 2))
+    squares_to_one = (small @ small % 3 == ident).all(axis=(1, 2))
     involutions = np.flatnonzero(squares_to_one & (group != ident).any(axis=(1, 2)))
     if not involutions.size:
         raise AssertionError("matrix group contains no involution")
@@ -181,9 +182,10 @@ def lifted_switching_involution() -> Permutation:
 @lru_cache(maxsize=None)
 def centralizer_pair() -> tuple[GF3Matrix, GF3Matrix]:
     """First matrix pair generating the full order-48 switching centralizer."""
-    x = switching_matrix().array
+    x = switching_matrix().array.astype(np.int8)
     group = matrix_group()
-    cent = group[(group @ x % 3 == x @ group % 3).all(axis=(1, 2))]
+    small = group.astype(np.int8)  # a product's entries are at most 20
+    cent = group[(small @ x % 3 == x @ small % 3).all(axis=(1, 2))]
     for i, j in itertools.combinations(range(len(cent)), 2):
         if len(_closure(cent[[i, j]])) == len(cent):
             return (GF3Matrix(cent[i]), GF3Matrix(cent[j]))

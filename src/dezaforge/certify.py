@@ -95,8 +95,8 @@ def certify_srg(g: Graph) -> SrgCertificate:
 
 def _srg_parameters(g: Graph, witnesses: bool = False) -> SrgCertificate:
     """certify_srg's tests, but a non-constant common-neighbour count names
-    no pairs unless witnesses is set: dual_seidel_switch, which needs only
-    whether g is strongly regular and its parameters, builds none.
+    no pairs unless witnesses is set: the switch and certify_deza's
+    strictness, which need only whether g is strongly regular, build none.
     """
     cert = SrgCertificate(v=g.v)
     if g.v < 2:
@@ -279,7 +279,7 @@ def certify_deza(g: Graph) -> DezaCertificate:
     cert.beta_max = int(beta.max())
     cert.diameter = diameter(g)
     cert.passed = True
-    cert.strict = cert.diameter == 2 and not certify_srg(g).passed
+    cert.strict = cert.diameter == 2 and not _srg_parameters(g).passed
     return cert
 
 

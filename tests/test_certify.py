@@ -274,18 +274,18 @@ def test_certify_ddg_computes_no_diameter_and_no_srg_certificate(
     # the partition needs a and b only; the diameter and strictness are
     # certify_deza's, which the counters must see to be trusted
     calls = []
-    for name in ("certify_srg", "diameter"):
+    for name in ("_srg_parameters", "diameter"):
 
-        def counted(g, name=name, real=getattr(certify, name)):
+        def counted(g, *args, name=name, real=getattr(certify, name), **kwargs):
             calls.append(name)
-            return real(g)
+            return real(g, *args, **kwargs)
 
         monkeypatch.setattr(certify, name, counted)
     for g in (gamma_k2, delta_k2):
         assert certify_ddg(g).passed
     assert calls == []
     certify_deza(gamma_k2)
-    assert calls == ["diameter", "certify_srg"]
+    assert calls == ["diameter", "_srg_parameters"]
 
 
 def test_certify_ddg_reports_the_deza_failure():
