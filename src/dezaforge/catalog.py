@@ -20,7 +20,6 @@ from .gf3 import (
     GF3Matrix,
     M11_GEN_A,
     M11_GEN_B,
-    all_vectors,
     fixed_space_basis,
     identity,
     negate,
@@ -82,28 +81,21 @@ class UnknownGraphError(ValueError):
 
 
 def _closure(gens: np.ndarray) -> np.ndarray:
-    """The group that the stacked n x n GF(3) gens generate, sorted by entries.
+    """The group that the stacked 5x5 GF(3) gens generate, sorted by entries.
 
-    Each matrix is held as the base-3 codes of its rows, first entry most
-    significant; right multiplication by a generator maps each row code
-    through that generator's table. A dict keyed by the code of the whole
-    matrix (its flattened entries in base 3) drops repeats at each frontier.
+    Grown by right multiplication one frontier at a time; np.unique on base-3
+    codes of the flattened entries (first most significant) drops repeats.
     """
-    n = gens.shape[-1]
-    digits = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    weights = digits ** n
-    vectors = all_vectors(n)[:, ::-1]  # row c is the vector of code c
-    tables = (vectors @ gens % 3) @ digits
-    rows, found, seen = digits[None], [], {}
-    while len(rows):
-        codes = (rows @ weights).tolist()
-        fresh = {code: i for i, code in enumerate(codes) if code not in seen}
-        seen.update(fresh)
-        found.append(rows[list(fresh.values())])
-        rows = tables[:, found[-1]].reshape(-1, n)
-    # seen lists the codes in the order of found's rows
-    order = np.argsort(np.fromiter(seen, np.int64, len(seen)))
-    return vectors[np.concatenate(found)[order]]
+    weights = 3 ** np.arange(24, -1, -1, dtype=np.int64)
+    group = frontier = np.eye(5, dtype=np.int64)[None]
+    while len(frontier):
+        products = (frontier[:, None] @ gens % 3).reshape(-1, 5, 5)
+        merged = np.concatenate([group, products])
+        _, first = np.unique(merged.reshape(-1, 25) @ weights, return_index=True)
+        # the sorted group comes first in merged, so new matrices index past it
+        frontier = merged[first[first >= len(group)]]
+        group = merged[first]
+    return group
 
 
 @lru_cache(maxsize=None)

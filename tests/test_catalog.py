@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dezaforge import catalog
 from dezaforge.catalog import (
@@ -181,53 +179,6 @@ def test_group_selections_match_a_loop_over_the_group():
         if group_order([perms[i], perms[j]]) == len(cent)
     )
     assert pair == centralizer_pair()
-
-
-def _reference_closure(gens):
-    """The closure this module used before its row-code tables: int64
-    matrix products per frontier, with np.unique on base-3 codes of the
-    flattened entries (first most significant) dropping repeats."""
-    n = gens.shape[-1]
-    weights = 3 ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    group = frontier = np.eye(n, dtype=np.int64)[None]
-    while len(frontier):
-        products = (frontier[:, None] @ gens % 3).reshape(-1, n, n)
-        merged = np.concatenate([group, products])
-        _, first = np.unique(merged.reshape(-1, n * n) @ weights, return_index=True)
-        frontier = merged[first[first >= len(group)]]
-        group = merged[first]
-    return group
-
-
-def test_closure_of_the_m11_pair_matches_the_unique_closure():
-    gens = np.stack([M11_GEN_A.array, M11_GEN_B.array])
-    expected = _reference_closure(gens)
-    assert matrix_group().dtype == expected.dtype
-    assert matrix_group().shape == expected.shape
-    assert matrix_group().tobytes() == expected.tobytes()
-    c1, c2 = centralizer_pair()
-    pair = np.stack([c1.array, c2.array])
-    assert catalog._closure(pair).tobytes() == _reference_closure(pair).tobytes()
-
-
-def _invertible(n):
-    return st.lists(
-        st.integers(0, 2), min_size=n * n, max_size=n * n
-    ).map(lambda flat: np.array(flat, dtype=np.int64).reshape(n, n)).filter(
-        lambda m: rank(GF3Matrix(m)) == n
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(_invertible(n), min_size=0, max_size=3)))
-def test_closure_matches_the_unique_closure_on_small_groups(mats):
-    # GL(1,3), GL(2,3) and GL(3,3) (order 11232) hold every closure drawn here
-    n = len(mats[0]) if mats else 2
-    gens = np.array(mats, dtype=np.int64).reshape(-1, n, n)
-    got = catalog._closure(gens)
-    expected = _reference_closure(gens)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
 
 
 def _perms(translations, matrices):
