@@ -14,7 +14,8 @@ each depth's generators form a strong generating set for the first path
 (McKay 1981; McKay & Piperno 2014): siblings are pruned by the orbits of
 the generators of their depth or deeper, recomputed only when that set
 grows, and |Aut| is the product of the first path's orbit sizes. Seeds
-enter through one Schreier-Sims chain whose base is the first path.
+enter through one Schreier-Sims chain whose base is the first path; given
+the order of each seed prefix, it stops as soon as it reaches that order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .gf3 import (
     indices_of,
     invert,
     mat_mul,
+    rank,
 )
 from .graphcore import Graph, automorphism_witness
 from .permgroup import Permutation, StabilizerChain, group_order, orbit_labels
@@ -191,14 +193,16 @@ class _Search:
         node_budget: int,
         time_budget: float,
         seeds: list[Permutation],
+        seed_orders: Sequence[int] | None = None,
     ) -> None:
         self.g = g
-        self.src, self.dst = np.nonzero(g.adjacency)
+        self.src, self.dst = g.arcs()
         self.a2 = g.square()
         self.v = g.v
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget
         self.seeds = seeds
+        self.seed_orders = seed_orders or [None] * len(seeds)
         self.nodes = 0
         self.first_path: list[int] = []
         self.first_traces: list[tuple] = []
@@ -227,7 +231,8 @@ class _Search:
             # mid-search the levels need not form a strong generating set,
             # so the bound comes from one chain built here
             found = [Permutation(p) for p in self.found]
-            raise SearchBudgetError(self.nodes - 1, group_order(self.seeds + found))
+            orders = [*self.seed_orders, *[None] * len(found)]
+            raise SearchBudgetError(self.nodes - 1, group_order(self.seeds + found, orders))
 
     def _dfs(
         self,
@@ -300,8 +305,8 @@ class _Search:
             # the seeds' strong generators, levelled by the first path, start
             # the pruning list; the chain keeps only the seeds that are new
             chain = StabilizerChain(self.v, base=self.first_path)
-            for s in self.seeds:
-                if chain.add_generator(s.images):
+            for s, order in zip(self.seeds, self.seed_orders, strict=True):
+                if chain.add_generator(s.images, order):
                     self.found.append(s.images)
             if len(chain.base) > len(self.first_path):
                 raise RuntimeError(
@@ -331,11 +336,13 @@ def automorphism_group(
     seeds: Iterable[Permutation] | None = None,
     node_budget: int = NODE_BUDGET,
     time_budget: float = TIME_BUDGET,
+    seed_orders: Sequence[int] | None = None,
 ) -> AutResult:
     """Generators and exact order of Aut(g) by individualization-refinement.
 
     Known automorphisms may be supplied as seeds; they are verified, then
-    only prune the search, so the resulting order is seed-independent. A
+    only prune the search, so the resulting order is seed-independent;
+    seed_orders[i], if given, is the order of the group of seeds[: i + 1]. A
     search exceeding node_budget nodes or time_budget seconds raises
     SearchBudgetError carrying the certified lower bound found so far.
     Graphs above VERTEX_CEILING vertices are refused.
@@ -344,14 +351,12 @@ def automorphism_group(
         raise ValueError(
             f"graph has {g.v} vertices, above the ceiling {VERTEX_CEILING}"
         )
-    seed_list: list[Permutation] = []
-    for s in seeds or []:
+    seed_list = list(seeds or [])
+    for s in seed_list:
         check_automorphism(g, s)
-        if not s.is_identity():
-            seed_list.append(s)
     if g.v == 0:
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
-    search = _Search(g, node_budget, time_budget, seed_list)
+    search = _Search(g, node_budget, time_budget, seed_list, seed_orders)
     start, ncol = _refine(
         search.src, search.dst, _pair_invariant_colours(g), search.a2
     )
@@ -388,6 +393,8 @@ def find_linear_cayley_isomorphism(
     the first surviving full assignment is returned.
     Before the search, u.(xL) = (uL^T).x gives an invariant: L keeps the
     multiset of how many members each linear functional leaves nonzero.
+    Past half the nonzero vectors the complements are searched, when they
+    span: L carries Sa onto Sb iff it carries the complements onto each other.
     None does not prove the Cayley graphs non-isomorphic: only linear
     vertex maps are searched.
     """
@@ -396,6 +403,10 @@ def find_linear_cayley_isomorphism(
     if len(sa) != len(sb):
         return None
     n = sa.dimension
+    if 2 * len(sa) > 3**n - 1:
+        ca, cb = (np.delete(all_vectors(n), [0, *s.indices], axis=0) for s in (sa, sb))
+        if len(ca) and rank(GF3Matrix(ca)) == n:
+            return find_linear_cayley_isomorphism(ConnectionSet(ca), ConnectionSet(cb))
     rows_a, rows_b = sa.vectors, sb.vectors
     basis = rows_a[_row_reduce(rows_a.T)[1]]
     if len(basis) < n:

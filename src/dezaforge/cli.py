@@ -25,6 +25,7 @@ from .catalog import (
     connection_set_s1,
     involutions_for,
     known_generators,
+    seed_orders,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
 from .golay import connection_set_S2
@@ -217,6 +218,7 @@ def _cmd_aut(args: argparse.Namespace) -> tuple[Any, int]:
         AUT_ORDERS.get(args.graph),
         args.node_budget,
         args.time_budget,
+        seed_orders(args.graph) if args.graph in GRAPH_NAMES else None,
     )
     payload["pass"] = ok
     return payload, 0 if ok else 1

@@ -36,7 +36,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..v-1."""
 
-    __slots__ = ("_adj", "_square", "_derive_square", "label")
+    __slots__ = ("_adj", "_square", "_derive_square", "_arcs", "label")
 
     def __init__(self, adjacency: np.ndarray, label: str = "") -> None:
         a = np.asarray(adjacency, dtype=bool)
@@ -51,6 +51,7 @@ class Graph:
         self._adj = a
         self._square: np.ndarray | None = None
         self._derive_square: Callable[[], np.ndarray] | None = None
+        self._arcs: tuple[np.ndarray, np.ndarray] | None = None
         self.label = label
 
     # -- basic queries -------------------------------------------------------
@@ -84,6 +85,14 @@ class Graph:
                 self._square, self._derive_square = self._derive_square(), None
             self._square.setflags(write=False)
         return self._square
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only np.nonzero(A), each edge in both orientations; kept."""
+        if self._arcs is None:
+            self._arcs = np.nonzero(self._adj)
+            for half in self._arcs:
+                half.setflags(write=False)
+        return self._arcs
 
     def is_regular(self) -> bool:
         degs = self._adj.sum(axis=1)
@@ -236,14 +245,16 @@ def strong_product_K2(g: Graph, label: str = "") -> Graph:
 def automorphism_witness(g: Graph, sigma: Permutation) -> tuple[int, int] | None:
     """None when sigma preserves adjacency, else the first pair it violates.
 
-    Checked by a full matrix compare of A with A permuted by sigma.
+    A bijection that maps every arc to an arc preserves the edge set; only
+    on failure is A compared in full with A permuted by sigma.
     """
     if sigma.degree != g.v:
         raise ValueError(f"permutation degree {sigma.degree} != v = {g.v}")
     p = sigma.images
-    moved = g.adjacency[np.ix_(p, p)] != g.adjacency
-    if not moved.any():
+    src, dst = g.arcs()
+    if g.adjacency[p[src], p[dst]].all():
         return None
+    moved = g.adjacency[np.ix_(p, p)] != g.adjacency
     u, w = np.argwhere(moved)[0]
     return int(u), int(w)
 

@@ -189,13 +189,14 @@ class StabilizerChain:
 
     # -- construction -------------------------------------------------------
 
-    def add_generator(self, g: Sequence[int]) -> bool:
-        """Sift g and, if new, extend the chain. Returns True if the group grew."""
+    def add_generator(self, g: Sequence[int], order: int | None = None) -> bool:
+        """Sift g and, if new, extend the chain; True if the group grew. order,
+        if given, is the exact order of the grown group: completion stops there."""
         residue, level = self.sift(g)
         if residue.tobytes() == self._identity_bytes:
             return False
         self._insert(residue, level)
-        self._complete()
+        self._complete(order)
         return True
 
     def _insert(self, residue: np.ndarray, level: int) -> None:
@@ -238,16 +239,22 @@ class StabilizerChain:
                     processed.add((pt, gid))
                     queue.append(img)
 
-    def _complete(self) -> None:
-        """Process Schreier generators until every level is stable.
+    def _complete(self, order: int | None = None) -> None:
+        """Process Schreier generators until every level is stable, or until
+        the transversal lengths multiply to order.
 
         Walks from the deepest level upward; a residue surfacing at a deeper
         level restarts the walk there. Processed (point, generator) pairs are
-        memoized, so revisiting a level only pays for new pairs.
+        memoized, so revisiting a level only pays for new pairs. Transversals
+        lie in basic orbits, which multiply to |G| only on a complete base, so
+        at |G| every pair left unprocessed sifts to the identity (Seress,
+        Permutation Group Algorithms, 2003, ch. 4).
         """
         level = len(self.base) - 1
         while level >= 0:
             self._extend_orbit(level)
+            if order is not None and self.order() >= order:
+                return
             tr = self.transversals[level]
             processed = self._processed[level]
             gens = list(enumerate(self.strong_gens))
@@ -273,9 +280,14 @@ class StabilizerChain:
                 level = restart
             else:
                 level -= 1
+        if order is not None:
+            raise ArithmeticError(f"the group has order {self.order()}, not {order}")
 
 
-def build_chain(generators: Iterable[Permutation]) -> StabilizerChain:
+def build_chain(
+    generators: Iterable[Permutation], orders: Sequence[int | None] = ()
+) -> StabilizerChain:
+    """orders[i], if given, is the order of the group of generators[: i + 1]."""
     gens = list(generators)
     if not gens:
         return StabilizerChain(0)
@@ -284,14 +296,15 @@ def build_chain(generators: Iterable[Permutation]) -> StabilizerChain:
         if g.degree != degree:
             raise NotAPermutationError("generators must share one degree")
     chain = StabilizerChain(degree)
-    for g in gens:
-        chain.add_generator(g.images)
+    for g, order in zip(gens, orders or [None] * len(gens), strict=True):
+        chain.add_generator(g.images, order)
     return chain
 
 
-def group_order(generators: Iterable[Permutation]) -> int:
-    """Exact order of the group generated by the permutations.
+def group_order(generators: Iterable[Permutation], orders: Sequence[int | None] = ()) -> int:
+    """Exact order of the group generated by the permutations; orders as in
+    build_chain.
 
     The empty generating set yields the trivial group of order 1.
     """
-    return build_chain(generators).order()
+    return build_chain(generators, orders).order()

@@ -32,14 +32,13 @@ from .autiso import (
 )
 from .catalog import (
     AUT_ORDERS,
-    affine_order,
-    affine_seeds,
     connection_set_s1,
     involutions_for,
     known_generators,
     lifted_switching_involution,
     m11_orbit_labels,
     matrix_group,
+    seed_orders,
     switching_involution,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
@@ -212,8 +211,10 @@ def aut_check(
     expected: int | None,
     node_budget: int,
     time_budget: float,
+    orders: tuple[int, ...] | None = None,
 ) -> Check:
-    """|Aut(g)| by seeded search, checked against the expected order.
+    """|Aut(g)| by seeded search, with the orders of the seed prefixes if
+    known, checked against the expected order.
 
     A finished search passes when its order equals expected (or when none is
     known). A search stopped by its budget reports its certified lower bound,
@@ -221,9 +222,7 @@ def aut_check(
     only when it equals the expected order, so an unknown order always fails.
     """
     try:
-        result = automorphism_group(
-            g, seeds=seeds, node_budget=node_budget, time_budget=time_budget
-        )
+        result = automorphism_group(g, seeds, node_budget, time_budget, orders)
     except SearchBudgetError as exc:
         cert = {
             "type": "aut",
@@ -375,7 +374,7 @@ def _subgroup_orders(ctx: _Context) -> Check:
         check_automorphism(gamma, perm)
     # the seeds are affine maps, so their orders need no stabilizer chain
     two_gen = len(matrix_group())
-    full = affine_order(*affine_seeds("gamma"))
+    full = seed_orders("gamma")[-1]
     cert = {
         "type": "subgroup-orders",
         "matrix_generators_order": two_gen,
@@ -387,7 +386,7 @@ def _subgroup_orders(ctx: _Context) -> Check:
 def _aut(ctx: _Context, key: str) -> Check:
     cfg = ctx.config
     return aut_check(ctx.need(key), known_generators(key), AUT_ORDERS[key],
-                     cfg.aut_node_budget, cfg.aut_time_budget)
+                     cfg.aut_node_budget, cfg.aut_time_budget, seed_orders(key))
 
 
 def _stage_table(ctx: _Context) -> list[tuple[str, dict[str, Any], StageFn]]:

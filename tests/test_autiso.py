@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dezaforge.catalog import (
     connection_set_s1,
     involutions_for,
     known_generators,
+    seed_orders,
 )
 from dezaforge.certify import certify_ddg
 from dezaforge.gf3 import ConnectionSet, GF3Matrix, all_vectors, indices_of, rank
@@ -119,6 +121,38 @@ def test_budget_stop_bound_covers_the_seeds(name, verified_order):
             assert exc.lower_bound >= seed_order
         else:
             assert result.order == AUT_ORDERS[name]
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_seed_orders_only_affect_pruning(name):
+    # the order comes from the first path's orbits, so seed orders that stop
+    # the seed chain too early (3 each) cost nodes but change no answer
+    g, seeds = build_graph(name), known_generators(name)
+    exact = automorphism_group(g, seeds=seeds, seed_orders=seed_orders(name))
+    assert exact.order == automorphism_group(g, seeds=seeds).order == AUT_ORDERS[name]
+    low = automorphism_group(g, seeds=seeds, seed_orders=[3] * len(seeds))
+    assert low.order == AUT_ORDERS[name]
+    assert low.nodes_searched >= exact.nodes_searched
+    with pytest.raises(ArithmeticError):
+        automorphism_group(g, seeds=seeds, seed_orders=[*seed_orders(name)[:-1], 10**9])
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_budget_stop_bound_reads_the_seed_orders(name, monkeypatch):
+    # the bound's chain stops at the seeds' known order, so it sifts little
+    calls = []
+    sift = StabilizerChain.sift
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    seeds = known_generators(name)
+    with pytest.raises(SearchBudgetError) as info:
+        automorphism_group(build_graph(name), seeds, 1, seed_orders=seed_orders(name))
+    assert info.value.lower_bound == AUT_ORDERS[name]
+    assert len(calls) < 50
 
 
 def test_automorphism_group_vertex_ceiling():
@@ -295,6 +329,66 @@ def test_find_linear_cayley_isomorphism_matches_brute_force(pair):
     if matrix is not None:
         assert rank(matrix) == n
         assert _carries(matrix, sa, sb)
+
+
+def _near_full_pair(seed):
+    """A 224-member set of V(5,3), 112 random +-pairs, and its image under a
+    random invertible matrix."""
+    rng = np.random.default_rng(seed)
+    reps = [v for v in all_vectors(5).tolist() if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    sa = np.array(reps)[rng.choice(len(reps), 112, replace=False)]
+    m = rng.integers(0, 3, (5, 5))
+    while rank(GF3Matrix(m)) < 5:
+        m = rng.integers(0, 3, (5, 5))
+    sa = np.concatenate([sa, -sa % 3])
+    return ConnectionSet(sa), ConnectionSet(sa @ m % 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_linear_cayley_isomorphism_on_near_full_sets(seed):
+    # searched over all 224 members, such a case took minutes
+    sa, sb = _near_full_pair(seed)
+    start = time.perf_counter()
+    matrix = find_linear_cayley_isomorphism(sa, sb)
+    assert time.perf_counter() - start < 5
+    assert matrix is not None and rank(matrix) == 5 and _carries(matrix, sa, sb)
+
+
+@st.composite
+def near_full_pairs(draw):
+    """Equal-size sets of V(n,3), n <= 3, holding more than half the nonzero
+    vectors: the first and its image under an invertible matrix, with one
+    pair swapped out of the image half the time. The complements may be
+    empty or fail to span."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    reps = [v for v in all_vectors(n).tolist() if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    sa_reps = draw(
+        st.lists(st.sampled_from(reps), min_size=len(reps) // 2 + 1, unique_by=tuple)
+    )
+    gl = GL.get(n, np.array([[[1]], [[2]]]))
+    m = gl[draw(st.integers(0, len(gl) - 1))]
+    sb_reps = [
+        tuple(int(x) for x in row * row[np.flatnonzero(row)[0]] % 3)
+        for row in np.array(sa_reps) @ m % 3
+    ]
+    rest = [r for r in map(tuple, reps) if r not in sb_reps]
+    if rest and draw(st.booleans()):
+        sb_reps[draw(st.integers(0, len(sb_reps) - 1))] = draw(st.sampled_from(rest))
+    return _connection_set(n, sa_reps), _connection_set(n, sb_reps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_full_pairs())
+def test_near_full_search_matches_brute_force(pair):
+    sa, sb = pair
+    n = sa.dimension
+    gl = GL.get(n, np.array([[[1]], [[2]]]))
+    images = np.sort(indices_of((sa.vectors @ gl % 3).reshape(-1, n)).reshape(len(gl), -1))
+    exists = bool((images == sb.indices).all(axis=1).any())
+    matrix = find_linear_cayley_isomorphism(sa, sb)
+    assert (matrix is not None) == exists
+    if matrix is not None:
+        assert rank(matrix) == n and _carries(matrix, sa, sb)
 
 
 def test_generators_are_checked_under_optimization(run_optimized):

@@ -217,6 +217,15 @@ def test_affine_orders_match_schreier_sims(translations, matrices, expected):
     assert group_order(_perms(translations, matrices)) == expected
 
 
+@pytest.mark.parametrize("name", ["gamma", "delta", "petersen"])
+def test_seed_orders_are_the_prefix_orders(name):
+    gens = known_generators(name)
+    assert catalog.seed_orders(name) == tuple(
+        group_order(gens[: i + 1]) for i in range(len(gens))
+    )
+    assert catalog.seed_orders(name) is catalog.seed_orders(name)
+
+
 def test_known_generators_are_the_affine_seeds():
     for name in GRAPH_NAMES:
         assert known_generators(name) == _perms(*affine_seeds(name))

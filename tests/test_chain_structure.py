@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dezaforge.catalog import known_generators
+from dezaforge.catalog import known_generators, seed_orders
 from dezaforge.gf3 import M11_GEN_A, M11_GEN_B
 from dezaforge.permgroup import Permutation, StabilizerChain, build_chain, perm_from_matrix
 
@@ -52,13 +52,13 @@ def _transversal_points(chain: StabilizerChain) -> list[list[int]]:
     return [list(tr) for tr in chain.transversals]
 
 
-def structure(gens: list[Permutation], base: tuple[int, ...]) -> dict:
+def structure(gens: list[Permutation], base: tuple[int, ...], orders=()) -> dict:
     if base:
         chain = StabilizerChain(gens[0].degree, base=base)
-        for g in gens:
-            chain.add_generator(g.images)
+        for g, order in zip(gens, orders or [None] * len(gens)):
+            chain.add_generator(g.images, order)
     else:
-        chain = build_chain(gens)
+        chain = build_chain(gens, orders)
     return {
         "order": chain.order(),
         "base": [int(b) for b in chain.base],
@@ -74,6 +74,15 @@ def test_chain_structure_matches_pin():
     assert sorted(pinned) == sorted(built)
     differ = [name for name, (gens, base) in built.items() if structure(gens, base) != pinned[name]]
     assert differ == [], f"chain structure differs from {PINNED.name} for: {differ}"
+
+
+def test_known_order_chains_match_pin():
+    # a chain stopped at each seed prefix's known order is the whole chain
+    pinned = json.loads(PINNED.read_text())
+    built = cases()
+    for name, key in (("gamma", "gamma"), ("delta", "delta"), ("delta-base-prefix", "delta")):
+        gens, base = built[name]
+        assert structure(gens, base, seed_orders(key)) == pinned[name], name
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dezaforge.graphcore import (
     Graph,
     Graph6ParseError,
     SwitchingInapplicableError,
+    automorphism_witness,
     cayley,
     _graph6_bit_order,
     _product_path,
@@ -137,6 +138,75 @@ def test_is_automorphism(petersen, c5):
     assert is_automorphism(petersen, petersen_transposition())
     assert is_automorphism(c5, c5_reflection())
     assert not is_automorphism(petersen, Permutation([1, 0] + list(range(2, 10))))
+
+
+def _full_compare_witness(g, sigma):
+    """The witness pair by comparing A with A permuted by sigma in full."""
+    p = sigma.images
+    moved = np.argwhere(g.adjacency[np.ix_(p, p)] != g.adjacency)
+    return tuple(int(x) for x in moved[0]) if len(moved) else None
+
+
+@st.composite
+def graphs_with_permutations(draw):
+    """A graph and a permutation: an automorphism, by closing random edges
+    under the permutation's group, or a random graph it likely breaks."""
+    v = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(v)))
+    edges = draw(st.sets(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))))
+    a = np.zeros((v, v), dtype=bool)
+    for u, w in edges:
+        a[u, w] = a[w, u] = u != w
+    while draw(st.booleans()):
+        # close the edges under perm: once no edge is added, perm maps the
+        # edge set into itself, and so onto it
+        closed = a | a[np.ix_(perm, perm)]
+        if (closed == a).all():
+            break
+        a = closed
+    return Graph(a), Permutation(perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_permutations())
+def test_automorphism_witness_matches_the_full_compare(case):
+    g, sigma = case
+    assert automorphism_witness(g, sigma) == _full_compare_witness(g, sigma)
+
+
+def test_a_passing_automorphism_check_forms_no_full_compare(gamma, monkeypatch):
+    calls = []
+    ix = np.ix_
+
+    def counted(*args):
+        calls.append(args)
+        return ix(*args)
+
+    monkeypatch.setattr(np, "ix_", counted)
+    assert automorphism_witness(gamma, switching_involution()) is None
+    assert calls == []
+    swap = Permutation([1, 0, *range(2, 243)])
+    assert automorphism_witness(gamma, swap) == _full_compare_witness(gamma, swap)
+    # the failing check and the oracle each formed the full compare once
+    assert len(calls) == 2
+
+
+def test_arcs_are_formed_once_and_read_only(petersen, monkeypatch):
+    g = Graph(petersen.adjacency)
+    calls = []
+    nonzero = np.nonzero
+
+    def counted(a):
+        calls.append(a)
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counted)
+    src, dst = g.arcs()
+    assert g.arcs()[0] is src and g.arcs()[1] is dst and len(calls) == 1
+    assert [src.tolist(), dst.tolist()] == [x.tolist() for x in nonzero(g.adjacency)]
+    assert not src.flags.writeable and not dst.flags.writeable
+    with pytest.raises(ValueError):
+        src[0] = 1
 
 
 def test_classify_involution_pairs(c5, gamma):

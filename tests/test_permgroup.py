@@ -152,6 +152,37 @@ def test_group_order_symmetric_group():
     assert group_order([Permutation(range(6))]) == 1
 
 
+def test_known_orders_stop_the_chain_with_the_same_group(monkeypatch):
+    a = Permutation([1, 0, 2, 3])
+    b = Permutation([1, 2, 3, 0])
+    sifts = []
+    sift = StabilizerChain.sift
+
+    def counted(self, *args, **kwargs):
+        sifts.append(args)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    full = build_chain([a, b])
+    full_sifts = len(sifts)
+    known = build_chain([a, b], [2, 24])
+    assert len(sifts) - full_sifts < full_sifts
+    assert known.order() == 24 and known.base == full.base
+    assert [list(tr) for tr in known.transversals] == [list(tr) for tr in full.transversals]
+    assert group_order([a, b], [2, 24]) == 24
+
+
+@pytest.mark.parametrize("orders", [[3, 24], [2, 25], [2, 48]])
+def test_an_order_the_chain_cannot_reach_raises(orders):
+    with pytest.raises(ArithmeticError):
+        build_chain([Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])], orders)
+
+
+def test_orders_must_match_the_generators():
+    with pytest.raises(ValueError):
+        build_chain([Permutation([1, 0, 2])], [2, 6])
+
+
 def test_group_order_m11_matrix_representation():
     x = perm_from_matrix(M11_GEN_A)
     y = perm_from_matrix(M11_GEN_B)

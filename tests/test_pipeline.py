@@ -226,6 +226,28 @@ def test_deep_run_spectrum_stages_make_five_products(matmul_calls):
     assert sorted(full) == [243, 243, 486, 486, 486]
 
 
+def test_deep_run_sifts_little_and_checks_automorphisms_on_arcs(monkeypatch):
+    # the seed chains stop at the affine prefix orders, and every automorphism
+    # check of a passing run is settled on the arc list, so a return to full
+    # Schreier-Sims (about 4000 sifts) or to full matrix compares fails here
+    sifts, full_compares = [], []
+    sift, ix = StabilizerChain.sift, np.ix_
+
+    def counted_sift(self, *args, **kwargs):
+        sifts.append(args)
+        return sift(self, *args, **kwargs)
+
+    def counted_ix(*args):
+        full_compares.append(args)
+        return ix(*args)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
+    monkeypatch.setattr(np, "ix_", counted_ix)
+    assert run_pipeline(PipelineConfig(deep=True)).overall_pass
+    assert len(sifts) < 100
+    assert full_compares == []
+
+
 def test_config_echo_lists_the_override_in_lexicographic_order():
     # S1 with its first pair (0,0,1,0,1), (0,0,2,0,2) swapped for (0,1,0,0,0), (0,2,0,0,0)
     echo = PipelineConfig(s1_override=corrupted_s1()).echo()
