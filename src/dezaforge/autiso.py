@@ -13,15 +13,19 @@ path's first d points and moves point d out of the orbits pruned so far, so
 each depth's generators form a strong generating set for the first path
 (McKay 1981; McKay & Piperno 2014): siblings are pruned by the orbits of
 the generators of their depth or deeper, recomputed only when that set
-grows, and |Aut| is the product of the first path's orbit sizes. Seeds
-enter through one Schreier-Sims chain whose base is the first path; given
-the order of each seed prefix, it stops as soon as it reaches that order.
+grows, and |Aut| is the product of the first path's orbit sizes.
+Refinement is isomorphism-invariant, so the automorphisms fixing the first
+d path points keep depth d's target cell, and |Aut| is at most the product
+of the first path's cell sizes. Seeds whose group order is known bound
+|Aut| from below; when the two bounds meet at the first leaf, the search
+ends there.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import prod
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -37,7 +41,7 @@ from .gf3 import (
     rank,
 )
 from .graphcore import Graph, automorphism_witness
-from .permgroup import Permutation, StabilizerChain, group_order, orbit_labels
+from .permgroup import Permutation, orbit_labels
 
 VERTEX_CEILING = 1024
 # the search budget of every caller: the library, the pipeline and the CLI
@@ -48,9 +52,11 @@ TIME_BUDGET = 1800.0
 class SearchBudgetError(RuntimeError):
     """The automorphism search ran out of nodes or time.
 
-    Carries the node count and the exact order of the subgroup generated by
-    the automorphisms verified so far, which is a certified lower bound on
-    the full automorphism group order.
+    Carries the node count and a certified lower bound on |Aut|: the larger
+    of the seeds' order and the product of the first path's orbit sizes
+    under the automorphisms found so far. Each of those fixes the path above
+    the depth where it was found, so the product is at most the order of
+    the group they generate.
     """
 
     def __init__(self, nodes: int, lower_bound: int) -> None:
@@ -182,18 +188,14 @@ class _Search:
     """One individualization-refinement run over a fixed graph.
 
     Pruning uses gens with their levels: generator i fixes
-    first_path[:levels[i]] pointwise. The seed chain's strong generators come
-    first, then each automorphism found, at the depth where its branch left
-    the first path.
+    first_path[:levels[i]] pointwise, for the depth where its branch left
+    the first path. cells holds the size of each target cell on the first
+    path; if they multiply to seed_order, the order of a verified group of
+    automorphisms, the first leaf ends the search and settled is set.
     """
 
     def __init__(
-        self,
-        g: Graph,
-        node_budget: int,
-        time_budget: float,
-        seeds: list[Permutation],
-        seed_orders: Sequence[int] | None = None,
+        self, g: Graph, node_budget: int, time_budget: float, seed_order: int = 1
     ) -> None:
         self.g = g
         self.src, self.dst = g.arcs()
@@ -201,16 +203,15 @@ class _Search:
         self.v = g.v
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget
-        self.seeds = seeds
-        self.seed_orders = seed_orders or [None] * len(seeds)
+        self.seed_order = seed_order
+        self.settled = False
         self.nodes = 0
         self.first_path: list[int] = []
+        self.cells: list[int] = []
         self.first_traces: list[tuple] = []
         self.first_leaf: np.ndarray | None = None
         self.gens: list[np.ndarray] = []
         self.levels: list[int] = []
-        # the reported generators: the seeds the chain kept, then those found
-        self.found: list[np.ndarray] = []
         # depth -> (count of generators at that level or deeper, orbit labels)
         self.orbits: dict[int, tuple[int, np.ndarray]] = {}
 
@@ -218,7 +219,8 @@ class _Search:
         self._dfs(colours, ncol, 0, True, -1)
 
     def order(self) -> int:
-        """|Aut|: the product of the first path's orbit sizes, once run."""
+        """The product of the first path's orbit sizes: |Aut| once run, and
+        at most the order of the generators' group before that."""
         order = 1
         for depth, point in enumerate(self.first_path):
             labels = self._labels(depth)
@@ -228,11 +230,8 @@ class _Search:
     def _check_budget(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget or time.monotonic() > self.deadline:
-            # mid-search the levels need not form a strong generating set,
-            # so the bound comes from one chain built here
-            found = [Permutation(p) for p in self.found]
-            orders = [*self.seed_orders, *[None] * len(found)]
-            raise SearchBudgetError(self.nodes - 1, group_order(self.seeds + found, orders))
+            bound = max(self.seed_order, self.order())
+            raise SearchBudgetError(self.nodes - 1, bound)
 
     def _dfs(
         self,
@@ -255,6 +254,8 @@ class _Search:
         cell = _target_cell(colours, ncol)
         if cell is None:
             return self._leaf(colours, diverged_at)
+        if on_first:
+            self.cells.append(len(cell))
         processed: list[int] = []
         first_candidate = True
         for cand in cell:
@@ -302,19 +303,10 @@ class _Search:
         mapping[colours] = np.arange(self.v)
         if self.first_leaf is None:
             self.first_leaf = mapping
-            # the seeds' strong generators, levelled by the first path, start
-            # the pruning list; the chain keeps only the seeds that are new
-            chain = StabilizerChain(self.v, base=self.first_path)
-            for s, order in zip(self.seeds, self.seed_orders, strict=True):
-                if chain.add_generator(s.images, order):
-                    self.found.append(s.images)
-            if len(chain.base) > len(self.first_path):
-                raise RuntimeError(
-                    "a seed moves a point although it fixes the first path, "
-                    "which the discrete first leaf rules out"
-                )
-            self.gens, self.levels = list(chain.strong_gens), list(chain.gen_level)
-            return None
+            # seed_order <= |Aut| <= the cell product, so equality proves it;
+            # a jump above the root unwinds the whole search
+            self.settled = prod(self.cells) == self.seed_order
+            return -1 if self.settled else None
         images = np.empty(self.v, dtype=np.intp)
         images[self.first_leaf] = mapping
         perm = Permutation(images)
@@ -325,7 +317,6 @@ class _Search:
         # the candidates processed there, so the group grows
         self.gens.append(perm.images)
         self.levels.append(diverged_at)
-        self.found.append(perm.images)
         # everything else under this branch is generated by what is already
         # known, so resume at the deepest first-path ancestor
         return diverged_at
@@ -336,16 +327,19 @@ def automorphism_group(
     seeds: Iterable[Permutation] | None = None,
     node_budget: int = NODE_BUDGET,
     time_budget: float = TIME_BUDGET,
-    seed_orders: Sequence[int] | None = None,
+    seed_order: int = 1,
 ) -> AutResult:
     """Generators and exact order of Aut(g) by individualization-refinement.
 
-    Known automorphisms may be supplied as seeds; they are verified, then
-    only prune the search, so the resulting order is seed-independent;
-    seed_orders[i], if given, is the order of the group of seeds[: i + 1]. A
-    search exceeding node_budget nodes or time_budget seconds raises
-    SearchBudgetError carrying the certified lower bound found so far.
-    Graphs above VERTEX_CEILING vertices are refused.
+    Known automorphisms may be supplied as seeds, with seed_order the order
+    of the group they generate; the seeds are verified, and seed_order is
+    trusted. Their group bounds |Aut| from below and the first path's cells
+    bound it from above, so when the cell sizes multiply to seed_order the
+    search ends at the first leaf and reports the seeds as generators.
+    Otherwise the search runs as an unseeded one, and its order is read from
+    the first path's orbits. A search exceeding node_budget nodes or
+    time_budget seconds raises SearchBudgetError carrying a certified lower
+    bound. Graphs above VERTEX_CEILING vertices are refused.
     """
     if g.v > VERTEX_CEILING:
         raise ValueError(
@@ -356,18 +350,25 @@ def automorphism_group(
         check_automorphism(g, s)
     if g.v == 0:
         return AutResult(order=1, generators=[], orbit_count=0, nodes_searched=0)
-    search = _Search(g, node_budget, time_budget, seed_list, seed_orders)
+    search = _Search(g, node_budget, time_budget, seed_order)
     start, ncol = _refine(
         search.src, search.dst, _pair_invariant_colours(g), search.a2
     )
     search.run(start, ncol)
-    generators = _sorted_perms(search.found)
-    for p in generators:
-        check_automorphism(g, p)
-    # all generators together: the depth-0 labels are Aut's orbits
-    labels = search._labels(0)
+    if search.settled:
+        images = [s.images for s in seed_list]
+        generators = _sorted_perms(images)
+        labels = orbit_labels(g.v, images)
+        order = seed_order
+    else:
+        generators = _sorted_perms(search.gens)
+        for p in generators:
+            check_automorphism(g, p)
+        # all generators together: the depth-0 labels are Aut's orbits
+        labels = search._labels(0)
+        order = search.order()
     return AutResult(
-        order=search.order(),
+        order=order,
         generators=generators,
         orbit_count=int(np.count_nonzero(labels == np.arange(g.v))),
         nodes_searched=search.nodes,

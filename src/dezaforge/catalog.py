@@ -224,15 +224,6 @@ def affine_order(translations: np.ndarray, matrices: list[GF3Matrix]) -> int:
         span = grown
 
 
-@lru_cache(maxsize=None)
-def seed_orders(name: str) -> tuple[int, ...]:
-    """affine_order of each prefix of affine_seeds(name), the group order of
-    the same prefix of known_generators(name); cached, as the search reads it."""
-    t, m = affine_seeds(name)
-    sizes = range(1, len(t) + len(m) + 1)
-    return tuple(affine_order(t[:i], m[: max(i - len(t), 0)]) for i in sizes)
-
-
 def petersen_transposition() -> Permutation:
     """Automorphism of the Petersen graph from swapping two base points."""
     pairs = sorted(itertools.combinations(range(5), 2))

@@ -32,13 +32,14 @@ from .autiso import (
 )
 from .catalog import (
     AUT_ORDERS,
+    affine_order,
+    affine_seeds,
     connection_set_s1,
     involutions_for,
     known_generators,
     lifted_switching_involution,
     m11_orbit_labels,
     matrix_group,
-    seed_orders,
     switching_involution,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
@@ -211,18 +212,18 @@ def aut_check(
     expected: int | None,
     node_budget: int,
     time_budget: float,
-    orders: tuple[int, ...] | None = None,
+    seed_order: int = 1,
 ) -> Check:
-    """|Aut(g)| by seeded search, with the orders of the seed prefixes if
-    known, checked against the expected order.
+    """|Aut(g)| by seeded search, checked against the expected order;
+    seed_order is the order of the group the seeds generate.
 
     A finished search passes when its order equals expected (or when none is
     known). A search stopped by its budget reports its certified lower bound,
-    which is at least the order the verified seeds generate; that passes
-    only when it equals the expected order, so an unknown order always fails.
+    which is at least seed_order; that passes only when it equals the
+    expected order, so an unknown order always fails.
     """
     try:
-        result = automorphism_group(g, seeds, node_budget, time_budget, orders)
+        result = automorphism_group(g, seeds, node_budget, time_budget, seed_order)
     except SearchBudgetError as exc:
         cert = {
             "type": "aut",
@@ -374,7 +375,7 @@ def _subgroup_orders(ctx: _Context) -> Check:
         check_automorphism(gamma, perm)
     # the seeds are affine maps, so their orders need no stabilizer chain
     two_gen = len(matrix_group())
-    full = seed_orders("gamma")[-1]
+    full = affine_order(*affine_seeds("gamma"))
     cert = {
         "type": "subgroup-orders",
         "matrix_generators_order": two_gen,
@@ -386,7 +387,8 @@ def _subgroup_orders(ctx: _Context) -> Check:
 def _aut(ctx: _Context, key: str) -> Check:
     cfg = ctx.config
     return aut_check(ctx.need(key), known_generators(key), AUT_ORDERS[key],
-                     cfg.aut_node_budget, cfg.aut_time_budget, seed_orders(key))
+                     cfg.aut_node_budget, cfg.aut_time_budget,
+                     affine_order(*affine_seeds(key)))
 
 
 def _stage_table(ctx: _Context) -> list[tuple[str, dict[str, Any], StageFn]]:

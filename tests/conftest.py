@@ -13,7 +13,7 @@ import dezaforge
 from dezaforge import graphcore
 from dezaforge.catalog import build_graph
 from dezaforge.graphcore import is_automorphism
-from dezaforge.permgroup import group_order
+from schreier_sims import group_order
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from dezaforge.graphcore import (
     strong_product_K2,
     to_graph6,
 )
-from dezaforge.permgroup import group_order, orbit_labels, perm_from_matrix
+from dezaforge.permgroup import orbit_labels, perm_from_matrix
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -52,6 +52,7 @@ from dezaforge.pipeline import (
     involution_row,
 )
 from dezaforge.spectra import SpectrumClaim, certify_spectrum
+from schreier_sims import group_order
 
 AUT_BUDGET = float(os.environ.get("DEZAFORGE_AUT_BUDGET", "1800"))
 

@@ -1,14 +1,17 @@
 import itertools
 import time
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dezaforge import autiso
 from dezaforge.autiso import (
+    NODE_BUDGET,
     NotAnAutomorphismError,
     SearchBudgetError,
     TIME_BUDGET,
@@ -18,17 +21,20 @@ from dezaforge.autiso import (
 )
 from dezaforge.catalog import (
     AUT_ORDERS,
+    affine_order,
+    affine_seeds,
     build_graph,
     connection_set_s1,
     involutions_for,
     known_generators,
-    seed_orders,
+    petersen_transposition,
 )
 from dezaforge.certify import certify_ddg
 from dezaforge.gf3 import ConnectionSet, GF3Matrix, all_vectors, indices_of, rank
 from dezaforge.golay import connection_set_S2
 from dezaforge.graphcore import Graph, exact_matmul, from_edges
-from dezaforge.permgroup import Permutation, StabilizerChain, orbit_labels
+from dezaforge.permgroup import Permutation, orbit_labels
+from schreier_sims import group_order
 
 
 def _carries(matrix, sa, sb):
@@ -77,12 +83,12 @@ def test_automorphism_group_petersen(petersen, verified_order):
 
 
 def test_automorphism_group_seed_independent(petersen):
-    from dezaforge.catalog import petersen_transposition
-
+    # one transposition generates a group of order 2, far below the cells'
+    # product of 120, so the bounds do not meet and the search runs in full
     unseeded = automorphism_group(petersen)
-    seeded = automorphism_group(petersen, seeds=[petersen_transposition()])
+    seeded = automorphism_group(petersen, [petersen_transposition()], seed_order=2)
     assert unseeded.order == seeded.order == 120
-    assert seeded.nodes_searched <= unseeded.nodes_searched
+    assert seeded.nodes_searched == unseeded.nodes_searched
 
 
 def test_automorphism_group_asymmetric_graph():
@@ -107,52 +113,129 @@ def test_automorphism_group_budget_exhaustion(petersen):
 @pytest.mark.parametrize("name", ["delta", "petersen"])
 def test_budget_stop_bound_covers_the_seeds(name, verified_order):
     # delta's catalogue seeds generate all 2592 automorphisms, so every stop
-    # must report 2592; petersen, seeded with one transposition, also stops
-    # after the first leaf, once the search's own chain exists
+    # must report 2592; petersen, seeded with one transposition of order 2,
+    # falls back to the full search, whose stops report at least 2
     g = build_graph(name)
     seeds = known_generators(name) or list(involutions_for(name).values())
     seed_order = verified_order(g, seeds)
-    finished = automorphism_group(g, seeds=seeds)
+    finished = automorphism_group(g, seeds=seeds, seed_order=seed_order)
     assert finished.order == AUT_ORDERS[name]
     for budget in range(finished.nodes_searched + 1):
         try:
-            result = automorphism_group(g, seeds=seeds, node_budget=budget)
+            result = automorphism_group(
+                g, seeds=seeds, node_budget=budget, seed_order=seed_order
+            )
         except SearchBudgetError as exc:
             assert exc.lower_bound >= seed_order
         else:
             assert result.order == AUT_ORDERS[name]
 
 
+def _seeded(name, **kwargs):
+    g, seeds = build_graph(name), known_generators(name)
+    return automorphism_group(
+        g, seeds, seed_order=affine_order(*affine_seeds(name)), **kwargs
+    )
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_seeded_search_stops_at_the_first_leaf(name):
+    # the seeds' affine order meets the product of the first path's cells,
+    # so the search proves |Aut| on its first path: five cells, six nodes
+    seeded, unseeded = _seeded(name), automorphism_group(build_graph(name))
+    assert seeded.nodes_searched == 6 < unseeded.nodes_searched
+    assert seeded.order == unseeded.order == AUT_ORDERS[name]
+    assert seeded.orbit_count == unseeded.orbit_count
+    assert seeded.generators == sorted(
+        known_generators(name), key=lambda p: p.images.tolist()
+    )
+
+
 @pytest.mark.parametrize("name", ["gamma", "delta"])
 def test_seed_orders_only_affect_pruning(name):
-    # the order comes from the first path's orbits, so seed orders that stop
-    # the seed chain too early (3 each) cost nodes but change no answer
+    # a seed order the cells do not meet, too high or too low, only stops
+    # the early end: the search runs as an unseeded one and finds the order
     g, seeds = build_graph(name), known_generators(name)
-    exact = automorphism_group(g, seeds=seeds, seed_orders=seed_orders(name))
-    assert exact.order == automorphism_group(g, seeds=seeds).order == AUT_ORDERS[name]
-    low = automorphism_group(g, seeds=seeds, seed_orders=[3] * len(seeds))
-    assert low.order == AUT_ORDERS[name]
-    assert low.nodes_searched >= exact.nodes_searched
-    with pytest.raises(ArithmeticError):
-        automorphism_group(g, seeds=seeds, seed_orders=[*seed_orders(name)[:-1], 10**9])
+    unseeded = automorphism_group(g)
+    for wrong in (AUT_ORDERS[name] + 1, 1):
+        result = automorphism_group(g, seeds, seed_order=wrong)
+        assert result.order == AUT_ORDERS[name]
+        assert result.orbit_count == unseeded.orbit_count
+        assert result.nodes_searched == unseeded.nodes_searched > 6
 
 
 @pytest.mark.parametrize("name", ["gamma", "delta"])
-def test_budget_stop_bound_reads_the_seed_orders(name, monkeypatch):
-    # the bound's chain stops at the seeds' known order, so it sifts little
-    calls = []
-    sift = StabilizerChain.sift
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return sift(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabilizerChain, "sift", counted)
-    seeds = known_generators(name)
+def test_budget_stop_bound_reads_the_seed_orders(name):
+    # a stop before the first leaf reports the seeds' affine order
     with pytest.raises(SearchBudgetError) as info:
-        automorphism_group(build_graph(name), seeds, 1, seed_orders=seed_orders(name))
+        _seeded(name, node_budget=1)
     assert info.value.lower_bound == AUT_ORDERS[name]
-    assert len(calls) < 50
+
+
+def _budget_stops(g, monkeypatch):
+    """(lower bound, generators found so far) at every budget below the
+    full search's node count."""
+    found = []
+    check = autiso._Search._check_budget
+
+    def recorded(self):
+        try:
+            check(self)
+        except SearchBudgetError:
+            found.append([Permutation(p) for p in self.gens])
+            raise
+
+    monkeypatch.setattr(autiso._Search, "_check_budget", recorded)
+    stops = []
+    for budget in range(automorphism_group(g).nodes_searched):
+        with pytest.raises(SearchBudgetError) as info:
+            automorphism_group(g, node_budget=budget)
+        stops.append((info.value.lower_bound, tuple(found[-1])))
+    return stops
+
+
+def test_budget_stop_bound_is_the_order_of_the_generators_found(gen, monkeypatch):
+    # the product of the first path's orbit sizes is at most the order of
+    # the found generators' group; on these graphs it is that order. Later
+    # stops repeat earlier generator lists, so each list's order is cached
+    order = lru_cache(maxsize=None)(group_order)
+    for i, e in enumerate(gen.closed_form_family()):
+        copy = gen.relabel(e, np.random.default_rng([29, i]))
+        for bound, gens in _budget_stops(Graph(copy.adj), monkeypatch):
+            assert bound == order(gens), e.name
+
+
+def _first_path_cells(g):
+    search = autiso._Search(g, NODE_BUDGET, TIME_BUDGET)
+    colours = autiso._pair_invariant_colours(g)
+    search.run(*autiso._refine(search.src, search.dst, colours, search.a2))
+    return search.cells
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_first_path_cells_bound_the_order(gen, data):
+    family = gen.closed_form_family()
+    e = family[data.draw(st.integers(0, len(family) - 1))]
+    copy = gen.relabel(e, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    g = Graph(copy.adj)
+    assert prod(_first_path_cells(g)) >= automorphism_group(g).order
+
+
+def test_first_path_cells_multiply_to_the_order(gen):
+    # refinement picks its cells canonically, so the sizes do not depend on
+    # the labelling; on these graphs the bound is tight
+    for i, e in enumerate(gen.closed_form_family()):
+        copy = gen.relabel(e, np.random.default_rng([31, i]))
+        assert prod(_first_path_cells(Graph(copy.adj))) == e.aut_order, e.name
+    assert _first_path_cells(build_graph("gamma")) == [243, 22, 20, 18, 2]
+    assert _first_path_cells(build_graph("delta")) == [27, 6, 4, 2, 2]
+    for name in ("petersen", "c5"):
+        assert prod(_first_path_cells(build_graph(name))) == AUT_ORDERS[name]
 
 
 def test_automorphism_group_vertex_ceiling():
@@ -399,7 +482,7 @@ def test_generators_are_checked_under_optimization(run_optimized):
         run = autiso._Search.run
         def run_and_err(self, colours, ncol):
             run(self, colours, ncol)
-            self.found.append((1, 0, *range(2, 10)))
+            self.gens.append((1, 0, *range(2, 10)))
         autiso._Search.run = run_and_err
         try:
             autiso.automorphism_group(build_graph("petersen"))
@@ -495,7 +578,7 @@ def test_unseeded_search_multiplies_only_for_the_square(gamma, matmul_calls):
 
 
 def test_pruning_orbits_follow_the_growing_chain():
-    search = autiso._Search(from_edges(5, []), 100, TIME_BUDGET, [])
+    search = autiso._Search(from_edges(5, []), 100, TIME_BUDGET)
     # (1 2) fixes first-path point 0, so it prunes at depth 1
     search.gens.append(np.array([0, 2, 1, 3, 4]))
     search.levels.append(1)
@@ -509,31 +592,6 @@ def test_pruning_orbits_follow_the_growing_chain():
     assert not search._pruned(4, 1, [1, 2])
     # a generator of level 1 moves first_path[1], so depth 2 does not use it
     assert not search._pruned(2, 2, [1])
-
-
-def test_unseeded_search_makes_no_sift(petersen, delta, monkeypatch):
-    # the found automorphisms are a strong generating set for the first path,
-    # so the order is read from their orbits without a stabilizer chain
-    calls = []
-    sift = StabilizerChain.sift
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return sift(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabilizerChain, "sift", counted)
-    assert automorphism_group(petersen).order == 120
-    assert automorphism_group(delta).order == 2592
-    assert calls == []
-
-
-def test_seed_chain_past_the_first_path_raises(petersen):
-    from dezaforge.catalog import petersen_transposition
-
-    search = autiso._Search(petersen, 100, TIME_BUDGET, [petersen_transposition()])
-    # a first leaf at the root fixes every point, so no seed can fit its chain
-    with pytest.raises(RuntimeError, match="first leaf"):
-        search._leaf(np.arange(petersen.v), -1)
 
 
 def _paley(p):

@@ -35,12 +35,12 @@ from dezaforge.gf3 import (
 from dezaforge.graphcore import is_automorphism
 from dezaforge.permgroup import (
     Permutation,
-    group_order,
     is_involution,
     perm_from_matrix,
     translation_perm,
 )
 from dezaforge.pipeline import involution_row
+from schreier_sims import group_order
 
 
 def test_build_graph_names():
@@ -219,11 +219,13 @@ def test_affine_orders_match_schreier_sims(translations, matrices, expected):
 
 @pytest.mark.parametrize("name", ["gamma", "delta", "petersen"])
 def test_seed_orders_are_the_prefix_orders(name):
+    # affine_order of every prefix of the seeds, translations first, against
+    # the Schreier-Sims order of the same prefix of known_generators
+    translations, matrices = affine_seeds(name)
     gens = known_generators(name)
-    assert catalog.seed_orders(name) == tuple(
-        group_order(gens[: i + 1]) for i in range(len(gens))
-    )
-    assert catalog.seed_orders(name) is catalog.seed_orders(name)
+    for i in range(len(gens) + 1):
+        prefix = translations[:i], matrices[: max(i - len(translations), 0)]
+        assert affine_order(*prefix) == group_order(gens[:i]), i
 
 
 def test_known_generators_are_the_affine_seeds():

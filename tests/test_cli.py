@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dezaforge import cli
 from dezaforge.autiso import NODE_BUDGET, TIME_BUDGET, VERTEX_CEILING, automorphism_group
+from dezaforge.catalog import build_graph
 from dezaforge.cli import main
-from dezaforge.graphcore import from_edges, to_graph6
+from dezaforge.graphcore import Graph, from_edges, to_graph6
 from dezaforge.pipeline import PipelineConfig, run_pipeline
 
 
@@ -186,6 +188,27 @@ def test_aut_budget_soft_pass(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["lower_bound_only"] is True
     assert out["lower_bound"] == 2592
+
+
+@pytest.mark.parametrize("name", ["gamma", "delta"])
+def test_aut_proofs_agree_on_relabelled_files(name, tmp_path, capsys):
+    # `aut NAME` proves |Aut| at the first leaf from the seeds' affine order;
+    # a relabelled file has no seeds, so the full search proves it there
+    assert main(["aut", name]) == 0
+    named = json.loads(capsys.readouterr().out)
+    assert named["nodes_searched"] == 6
+    g = build_graph(name)
+    for seed in range(3):
+        perm = np.random.default_rng([37, seed]).permutation(g.v)
+        adjacency = np.zeros_like(g.adjacency)
+        adjacency[np.ix_(perm, perm)] = g.adjacency
+        path = tmp_path / f"{name}-{seed}.g6"
+        path.write_text(to_graph6(Graph(adjacency)) + "\n")
+        assert main(["aut", str(path)]) == 0
+        relabelled = json.loads(capsys.readouterr().out)
+        assert relabelled["nodes_searched"] > 6
+        for key in ("order", "orbit_count"):
+            assert relabelled[key] == named[key], (seed, key)
 
 
 @pytest.mark.parametrize("name, order", [("c5", 10), ("petersen", 120)])

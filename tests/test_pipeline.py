@@ -11,7 +11,7 @@ from dezaforge.catalog import (
     switching_involution,
 )
 from dezaforge.gf3 import M11_GEN_A, M11_GEN_B
-from dezaforge.permgroup import StabilizerChain, perm_from_matrix
+from dezaforge.permgroup import perm_from_matrix
 from dezaforge.pipeline import (
     DELTA_K2_SPECTRUM,
     DELTA_SPECTRUM,
@@ -111,21 +111,15 @@ def _subgroup_stage(gamma):
     return pipeline._subgroup_orders(ctx)
 
 
-def test_subgroup_orders_checks_every_seed_and_sifts_nothing(monkeypatch):
-    checked, sifts = [], []
+def test_subgroup_orders_checks_every_seed(monkeypatch):
+    checked = []
     witness = autiso.automorphism_witness
-    sift = StabilizerChain.sift
 
     def counted_witness(g, sigma):
         checked.append(sigma)
         return witness(g, sigma)
 
-    def counted_sift(self, *args, **kwargs):
-        sifts.append(args)
-        return sift(self, *args, **kwargs)
-
     monkeypatch.setattr(autiso, "automorphism_witness", counted_witness)
-    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
     cert, ok = _subgroup_stage(build_graph("gamma"))
     assert ok and (cert["matrix_generators_order"], cert["full_seed_order"]) == (
         7920, 3_849_120
@@ -134,7 +128,6 @@ def test_subgroup_orders_checks_every_seed_and_sifts_nothing(monkeypatch):
     # two generators again and negation
     pair = [perm_from_matrix(M11_GEN_A), perm_from_matrix(M11_GEN_B)]
     assert checked == pair + known_generators("gamma")
-    assert sifts == []
 
 
 def test_subgroup_orders_rejects_a_non_automorphism_seed():
@@ -226,25 +219,23 @@ def test_deep_run_spectrum_stages_make_five_products(matmul_calls):
     assert sorted(full) == [243, 243, 486, 486, 486]
 
 
-def test_deep_run_sifts_little_and_checks_automorphisms_on_arcs(monkeypatch):
-    # the seed chains stop at the affine prefix orders, and every automorphism
-    # check of a passing run is settled on the arc list, so a return to full
-    # Schreier-Sims (about 4000 sifts) or to full matrix compares fails here
-    sifts, full_compares = [], []
-    sift, ix = StabilizerChain.sift, np.ix_
-
-    def counted_sift(self, *args, **kwargs):
-        sifts.append(args)
-        return sift(self, *args, **kwargs)
+def test_deep_run_searches_six_nodes_and_checks_automorphisms_on_arcs(monkeypatch):
+    # the seeds' affine orders meet the first path's cell products, so each
+    # seeded search ends at its first leaf, and every automorphism check of a
+    # passing run is settled on the arc list: a search past the first path
+    # (30 nodes on gamma) or a return to full matrix compares fails here
+    full_compares = []
+    ix = np.ix_
 
     def counted_ix(*args):
         full_compares.append(args)
         return ix(*args)
 
-    monkeypatch.setattr(StabilizerChain, "sift", counted_sift)
     monkeypatch.setattr(np, "ix_", counted_ix)
-    assert run_pipeline(PipelineConfig(deep=True)).overall_pass
-    assert len(sifts) < 100
+    report = run_pipeline(PipelineConfig(deep=True))
+    assert report.overall_pass
+    for key in ("aut-gamma", "aut-delta"):
+        assert stage(report, key).certificate["nodes_searched"] == 6, key
     assert full_compares == []
 
 
