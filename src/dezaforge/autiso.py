@@ -30,16 +30,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .gf3 import (
-    ConnectionSet,
-    GF3Matrix,
-    _row_reduce,
-    all_vectors,
-    indices_of,
-    invert,
-    mat_mul,
-    rank,
-)
+from .gf3 import ConnectionSet, _row_reduce, all_vectors, indices_of, invert, matrix, rank
 from .graphcore import Graph, automorphism_witness
 from .permgroup import Permutation, orbit_labels
 
@@ -382,7 +373,7 @@ def _sorted_perms(found: Iterable[Sequence[int]]) -> list[Permutation]:
 
 def find_linear_cayley_isomorphism(
     sa: ConnectionSet, sb: ConnectionSet
-) -> GF3Matrix | None:
+) -> np.ndarray | None:
     """Invertible L over GF(3) with Sa . L = Sb, or None if there is none.
 
     Fixes a basis inside Sa greedily in sorted vector order (the pivot
@@ -406,7 +397,7 @@ def find_linear_cayley_isomorphism(
     n = sa.dimension
     if 2 * len(sa) > 3**n - 1:
         ca, cb = (np.delete(all_vectors(n), [0, *s.indices], axis=0) for s in (sa, sb))
-        if len(ca) and rank(GF3Matrix(ca)) == n:
+        if len(ca) and rank(ca) == n:
             return find_linear_cayley_isomorphism(ConnectionSet(ca), ConnectionSet(cb))
     rows_a, rows_b = sa.vectors, sb.vectors
     basis = rows_a[_row_reduce(rows_a.T)[1]]
@@ -442,4 +433,4 @@ def find_linear_cayley_isomorphism(
     images = dfs(rows_b[:0])
     if images is None:
         return None
-    return mat_mul(invert(GF3Matrix(basis)), GF3Matrix(images))
+    return matrix(invert(basis) @ images % 3)

@@ -21,12 +21,11 @@ from .autiso import NODE_BUDGET, TIME_BUDGET, VERTEX_CEILING
 from .catalog import (
     AUT_ORDERS,
     GRAPH_NAMES,
-    affine_order,
-    affine_seeds,
     build_graph,
     connection_set_s1,
     involutions_for,
     known_generators,
+    seed_order,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
 from .golay import connection_set_S2
@@ -213,14 +212,13 @@ def _cmd_aut(args: argparse.Namespace) -> tuple[Any, int]:
         raise UsageError(
             f"graph has {g.v} vertices, above the ceiling {VERTEX_CEILING}"
         )
-    named = args.graph in GRAPH_NAMES
     payload, ok = aut_check(
         g,
-        known_generators(args.graph) if named else [],
+        known_generators(args.graph),
         AUT_ORDERS.get(args.graph),
         args.node_budget,
         args.time_budget,
-        affine_order(*affine_seeds(args.graph)) if named else 1,
+        seed_order(args.graph),
     )
     payload["pass"] = ok
     return payload, 0 if ok else 1

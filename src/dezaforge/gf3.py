@@ -2,9 +2,10 @@
 
 Vectors of V(n,3) are the rows of integer arrays with residues in {0,1,2}.
 Each vector has a canonical vertex index (little-endian base 3), and all
-graph modules exchange indices rather than raw vectors. Matrices act on row
-vectors from the right, v -> v*M; the convention is pinned by a self-check
-in catalog.connection_set_s1().
+graph modules exchange indices rather than raw vectors. A matrix is a plain
+read-only int64 array, checked once by matrix(); products are `a @ b % 3`.
+Matrices act on row vectors from the right, v -> v*M; the convention is
+pinned by a self-check in catalog.connection_set_s1().
 """
 
 from __future__ import annotations
@@ -27,60 +28,20 @@ class InvalidConnectionSetError(ValueError):
     """A connection set violates inverse-closure or contains the zero vector."""
 
 
-class GF3Matrix:
-    """Immutable r x c matrix with entries in {0,1,2}.
-
-    Wraps a read-only numpy int array.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
-        if isinstance(entries, np.ndarray):
-            a = entries.astype(np.int64)
-        else:
-            rows = [[int(c) for c in row] for row in entries]
-            if len({len(r) for r in rows}) > 1:
-                raise ShapeError("matrix entries must form a rectangle")
-            a = np.array(rows, dtype=np.int64)
-        if a.ndim != 2:
-            raise ShapeError("matrix entries must form a rectangle")
-        if not ((a >= 0) & (a <= 2)).all():
-            raise InvalidElementError("matrix entries must be residues in {0,1,2}")
-        a.setflags(write=False)
-        self._a = a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only numpy view of the entries."""
-        return self._a
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GF3Matrix)
-            and self._a.shape == other._a.shape
-            and bool((self._a == other._a).all())
-        )
-
-    def __repr__(self) -> str:
-        return f"GF3Matrix({self._a.tolist()})"
-
-
-def identity(n: int) -> GF3Matrix:
-    return GF3Matrix(np.eye(n, dtype=np.int64))
-
-
-def negate(m: GF3Matrix) -> GF3Matrix:
-    """Entrywise additive inverse mod 3, i.e. the matrix of v -> -(v*M)."""
-    return GF3Matrix((-m.array) % 3)
+def matrix(entries: Iterable[Iterable[int]]) -> np.ndarray:
+    """entries as a read-only int64 array, checked to be a rectangle of
+    residues in {0,1,2}. Every matrix the package stores, and every vector
+    table it takes from a caller, passes through it."""
+    try:
+        a = np.array(entries, dtype=np.int64)
+    except ValueError:  # ragged rows
+        raise ShapeError("matrix entries must form a rectangle") from None
+    if a.ndim != 2:
+        raise ShapeError("matrix entries must form a rectangle")
+    if not ((a >= 0) & (a <= 2)).all():
+        raise InvalidElementError("matrix entries must be residues in {0,1,2}")
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=8)
@@ -97,13 +58,6 @@ def indices_of(vectors: np.ndarray) -> np.ndarray:
     """The canonical vertex index of each vector along the last axis: the
     sum of vector[i] * 3^i."""
     return vectors @ 3 ** np.arange(vectors.shape[-1], dtype=np.int64)
-
-
-def mat_mul(a: GF3Matrix, b: GF3Matrix) -> GF3Matrix:
-    """Matrix product, exact mod 3."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cols {a.cols} != rows {b.rows}")
-    return GF3Matrix(a.array @ b.array % 3)
 
 
 def _row_reduce(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -128,41 +82,40 @@ def _row_reduce(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank(m: GF3Matrix) -> int:
+def rank(m: np.ndarray) -> int:
     """Rank over GF(3) by exact Gaussian elimination."""
-    return len(_row_reduce(m.array)[1])
+    return len(_row_reduce(m)[1])
 
 
-def invert(m: GF3Matrix) -> GF3Matrix:
+def invert(m: np.ndarray) -> np.ndarray:
     """Inverse over GF(3); raises ValueError for singular input."""
-    if m.rows != m.cols:
+    n, cols = m.shape
+    if n != cols:
         raise ShapeError("only square matrices can be inverted")
-    n = m.rows
-    reduced, pivots = _row_reduce(
-        np.concatenate([m.array, np.eye(n, dtype=np.int64)], axis=1)
-    )
+    reduced, pivots = _row_reduce(np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1))
     # [M | I] has rank n; M is invertible iff every pivot lies in M's columns
     if pivots != list(range(n)):
         raise ValueError("matrix is singular over GF(3)")
-    return GF3Matrix(reduced[:, n:])
+    return matrix(reduced[:, n:])
 
 
-def kernel_basis(m: GF3Matrix) -> np.ndarray:
+def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {v : M v = 0} over GF(3), one vector a row."""
-    reduced, pivots = _row_reduce(m.array)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    reduced, pivots = _row_reduce(m)
+    cols = m.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -reduced[: len(pivots), free].T % 3
     return basis
 
 
-def fixed_space_basis(m: GF3Matrix) -> np.ndarray:
+def fixed_space_basis(m: np.ndarray) -> np.ndarray:
     """Basis of the row-action fixed space {v : v*M = v}."""
-    if m.rows != m.cols:
+    n, cols = m.shape
+    if n != cols:
         raise ShapeError("fixed space requires a square matrix")
-    diff = (m.array - np.eye(m.rows, dtype=np.int64)) % 3
-    return kernel_basis(GF3Matrix(diff.T % 3))
+    return kernel_basis((m - np.eye(n, dtype=np.int64)).T % 3)
 
 
 class ConnectionSet:
@@ -178,7 +131,7 @@ class ConnectionSet:
         rows = [list(v) for v in vectors]
         if not rows:
             raise InvalidConnectionSetError("connection set must be non-empty")
-        a = GF3Matrix(rows).array
+        a = matrix(rows)
         if not a.any(axis=1).all():
             raise InvalidConnectionSetError("connection set contains the zero vector")
         a = a[np.lexsort(a.T[::-1])]
@@ -221,7 +174,7 @@ class ConnectionSet:
 # Standard generators of the Mathieu group M11 in its 5-dimensional
 # representation over GF(3), as published in the ATLAS of Finite Group
 # Representations. M11_GEN_A is an involution; M11_GEN_B has order 4.
-M11_GEN_A = GF3Matrix([
+M11_GEN_A = matrix([
     (0, 2, 1, 0, 0),
     (2, 1, 1, 2, 2),
     (0, 1, 1, 2, 2),
@@ -229,7 +182,7 @@ M11_GEN_A = GF3Matrix([
     (1, 2, 2, 2, 0),
 ])
 
-M11_GEN_B = GF3Matrix([
+M11_GEN_B = matrix([
     (0, 0, 2, 0, 2),
     (1, 1, 2, 2, 0),
     (2, 2, 2, 2, 2),

@@ -3,9 +3,8 @@
 The [11, 6, 5] ternary Golay code is presented by an explicit 5x11 parity
 check matrix H. Its 22 signed columns, read as vectors of V(5, 3), form the
 second connection set; the coset graph of the code on the 3^5 syndromes is
-the same strongly regular graph as the Cayley graph on that set, and the
-coordinate-reversal involution acts on it without moving any edge's
-endpoints onto each other.
+the same strongly regular graph as the Cayley graph on that set. Matrices
+are gf3.matrix arrays.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3 import ConnectionSet, GF3Matrix, all_vectors, indices_of, kernel_basis, rank
+from .gf3 import ConnectionSet, all_vectors, indices_of, kernel_basis, matrix, rank
 from .graphcore import Graph, cayley
-from .permgroup import Permutation
 
 
 class RankDeficientError(ValueError):
@@ -45,9 +43,9 @@ _H_ROWS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def parity_check_H() -> GF3Matrix:
+def parity_check_H() -> np.ndarray:
     """The 5x11 parity check matrix of the ternary Golay code."""
-    return GF3Matrix(_H_ROWS)
+    return matrix(_H_ROWS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +54,7 @@ class LinearCode:
     array with one word a row, in lexicographic order."""
 
     length: int
-    parity_check: GF3Matrix
+    parity_check: np.ndarray
     codewords: np.ndarray
 
     @property
@@ -72,7 +70,7 @@ class LinearCode:
         return int(weights[weights > 0].min())
 
 
-def code_from_parity_check(h: GF3Matrix) -> LinearCode:
+def code_from_parity_check(h: np.ndarray) -> LinearCode:
     """Enumerate the kernel of H as a LinearCode.
 
     Spans a basis of the null space, so the word count is exactly
@@ -81,8 +79,8 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     enumerated words are not 3^dim distinct members of the kernel.
     """
     h_rank = rank(h)
-    if h_rank != h.rows:
-        raise RankDeficientError(h.rows, h_rank)
+    if h_rank != len(h):
+        raise RankDeficientError(len(h), h_rank)
     basis = kernel_basis(h)
     dim = len(basis)
     words = all_vectors(dim) @ basis % 3
@@ -92,12 +90,12 @@ def code_from_parity_check(h: GF3Matrix) -> LinearCode:
     distinct = 1 + np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1))
     if distinct != 3**dim:
         raise ArithmeticError(f"kernel basis spans {distinct} words, not 3^{dim}")
-    outside = np.flatnonzero((words @ h.array.T % 3).any(axis=1))
+    outside = np.flatnonzero((words @ h.T % 3).any(axis=1))
     if outside.size:
         w = tuple(words[outside[0]].tolist())
         raise ArithmeticError(f"enumerated word {w} is not in the kernel of H")
     ordered.setflags(write=False)
-    return LinearCode(length=h.cols, parity_check=h, codewords=ordered)
+    return LinearCode(length=h.shape[1], parity_check=h, codewords=ordered)
 
 
 def connection_set_S2() -> ConnectionSet:
@@ -106,7 +104,7 @@ def connection_set_S2() -> ConnectionSet:
     A duplicate signed column would mean the embedded matrix is corrupt, so
     that is a hard error rather than a certificate failure.
     """
-    h = parity_check_H().array
+    h = parity_check_H()
     s2 = ConnectionSet(np.concatenate([h.T, -h.T % 3]))
     if len(s2) != 2 * h.shape[1]:
         raise AssertionError("signed parity-check columns are not distinct")
@@ -137,10 +135,6 @@ def coset_graph(code: LinearCode) -> Graph:
     """
     h = code.parity_check
     eye = np.eye(code.length, dtype=np.int64)
-    syndromes = np.concatenate([eye, 2 * eye]) @ h.array.T % 3
+    syndromes = np.concatenate([eye, 2 * eye]) @ h.T % 3
     return cayley(ConnectionSet(syndromes), label="golay-coset")
 
-
-def reversal_perm() -> Permutation:
-    """Coordinate reversal (a,b,c,d,e) -> (e,d,c,b,a) on vertex indices."""
-    return Permutation(indices_of(all_vectors(5)[:, ::-1]))

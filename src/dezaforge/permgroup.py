@@ -76,22 +76,22 @@ def is_involution(sigma: Permutation) -> bool:
     )
 
 
-def perm_from_matrix(m: gf3.GF3Matrix) -> Permutation:
+def perm_from_matrix(m: Sequence[Sequence[int]]) -> Permutation:
     """Permutation of the 3^n vertex indices realizing v -> v*M.
 
     A singular M maps two vectors together, which Permutation refuses; a
     wide M with zero extra columns would pass it, so the shape is checked.
     """
-    if m.rows != m.cols:
+    m = gf3.matrix(m)
+    if m.shape[0] != m.shape[1]:
         raise NotAPermutationError("only square matrices act on the vertex set")
-    vv = gf3.all_vectors(m.rows)
-    return Permutation(gf3.indices_of(vv @ m.array % 3))
+    return Permutation(gf3.indices_of(gf3.all_vectors(len(m)) @ m % 3))
 
 
 def translation_perm(t: Sequence[int]) -> Permutation:
     """Permutation v -> v + t on the 3^n vertex indices."""
     # a one-row matrix, so a coordinate outside {0,1,2} is refused
-    vec = gf3.GF3Matrix([t]).array
+    vec = gf3.matrix([t])
     return Permutation(gf3.indices_of((gf3.all_vectors(vec.shape[1]) + vec) % 3))
 
 

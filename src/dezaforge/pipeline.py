@@ -32,14 +32,13 @@ from .autiso import (
 )
 from .catalog import (
     AUT_ORDERS,
-    affine_order,
-    affine_seeds,
     connection_set_s1,
     involutions_for,
     known_generators,
     lifted_switching_involution,
     m11_orbit_labels,
     matrix_group,
+    seed_order,
     switching_involution,
 )
 from .certify import certify_ddg, certify_deza, certify_srg
@@ -50,7 +49,6 @@ from .golay import (
     coset_graph,
     pair_sums_cover,
     parity_check_H,
-    reversal_perm,
 )
 from .graphcore import (
     Graph,
@@ -172,12 +170,12 @@ def linear_isomorphism(source: ConnectionSet, target: ConnectionSet) -> Check:
     matrix = find_linear_cayley_isomorphism(source, target)
     if matrix is None:
         return {"type": "linear-isomorphism", "found": False}, False
-    images = np.sort(indices_of(source.vectors @ matrix.array % 3))
+    images = np.sort(indices_of(source.vectors @ matrix % 3))
     verified = np.array_equal(images, target.indices)
     cert = {
         "type": "linear-isomorphism",
         "found": True,
-        "matrix": matrix.array.tolist(),
+        "matrix": matrix.tolist(),
         "verified": verified,
     }
     return cert, verified
@@ -289,8 +287,7 @@ def _orbit_sizes(ctx: _Context) -> Check:
 
 
 def _involution_sweep(ctx: _Context) -> Check:
-    sweep = [("gamma", n, p) for n, p in involutions_for("gamma").items()]
-    sweep.append(("gamma-s2", "reversal", reversal_perm()))
+    sweep = [(g, n, p) for g in ("gamma", "gamma-s2") for n, p in involutions_for(g).items()]
     rows = []
     passed = True
     for graph_name, inv_name, perm in sweep:
@@ -375,7 +372,7 @@ def _subgroup_orders(ctx: _Context) -> Check:
         check_automorphism(gamma, perm)
     # the seeds are affine maps, so their orders need no stabilizer chain
     two_gen = len(matrix_group())
-    full = affine_order(*affine_seeds("gamma"))
+    full = seed_order("gamma")
     cert = {
         "type": "subgroup-orders",
         "matrix_generators_order": two_gen,
@@ -388,7 +385,7 @@ def _aut(ctx: _Context, key: str) -> Check:
     cfg = ctx.config
     return aut_check(ctx.need(key), known_generators(key), AUT_ORDERS[key],
                      cfg.aut_node_budget, cfg.aut_time_budget,
-                     affine_order(*affine_seeds(key)))
+                     seed_order(key))
 
 
 def _stage_table(ctx: _Context) -> list[tuple[str, dict[str, Any], StageFn]]:

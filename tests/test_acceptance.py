@@ -34,7 +34,6 @@ from dezaforge.golay import (
     coset_graph,
     pair_sums_cover,
     parity_check_H,
-    reversal_perm,
 )
 from dezaforge.graphcore import (
     Graph,
@@ -91,7 +90,7 @@ def test_criterion_02_gamma_s2_is_srg_and_linearly_isomorphic(announce):
     s2 = connection_set_S2()
     matrix = find_linear_cayley_isomorphism(s1, s2)
     iso_ok = matrix is not None and np.array_equal(
-        np.sort(indices_of(s1.vectors @ matrix.array % 3)), s2.indices
+        np.sort(indices_of(s1.vectors @ matrix % 3)), s2.indices
     )
     iso_elapsed = time.perf_counter() - start
 
@@ -160,7 +159,7 @@ def test_criterion_05_switching_representatives(announce):
 def test_criterion_06_reversal_involution(announce):
     start = time.perf_counter()
     gamma_s2 = build_graph("gamma-s2")
-    rho = reversal_perm()
+    rho = involutions_for("gamma-s2")["reversal"]
     counts, involutive_automorphism = involution_row(gamma_s2, rho)
     elapsed = time.perf_counter() - start
     ok = (

@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dezaforge.catalog import connection_set_s1
-from dezaforge.gf3 import ConnectionSet, GF3Matrix, all_vectors, rank
+from dezaforge.catalog import connection_set_s1, involutions_for
+from dezaforge.gf3 import ConnectionSet, all_vectors, indices_of, matrix, rank
 from dezaforge.golay import (
     RankDeficientError,
     code_from_parity_check,
@@ -13,7 +13,6 @@ from dezaforge.golay import (
     coset_graph,
     pair_sums_cover,
     parity_check_H,
-    reversal_perm,
 )
 from dezaforge.graphcore import cayley
 from dezaforge.pipeline import involution_row
@@ -21,11 +20,11 @@ from dezaforge.pipeline import involution_row
 
 def test_parity_check_shape_and_rank():
     h = parity_check_H()
-    assert (h.rows, h.cols) == (5, 11)
+    assert h.shape == (5, 11)
     assert rank(h) == 5
     # systematic tail: the last five columns form the identity
     for i in range(5):
-        assert tuple(h.array[:, 6 + i].tolist()) == tuple(int(i == j) for j in range(5))
+        assert tuple(h[:, 6 + i].tolist()) == tuple(int(i == j) for j in range(5))
 
 
 def test_code_parameters():
@@ -44,7 +43,7 @@ def test_code_weight_distribution():
 
 def test_code_from_rank_deficient_matrix():
     with pytest.raises(RankDeficientError) as info:
-        code_from_parity_check(GF3Matrix([[1, 0, 2], [2, 0, 1]]))
+        code_from_parity_check(matrix([[1, 0, 2], [2, 0, 1]]))
     assert info.value.actual_rank == 1
     assert info.value.expected_rank == 2
 
@@ -55,7 +54,7 @@ def test_connection_set_s2():
     assert len(s2) == 22
     h = parity_check_H()
     members = set(map(tuple, s2.vectors.tolist()))
-    for c in map(tuple, h.array.T.tolist()):
+    for c in map(tuple, h.T.tolist()):
         assert c in members
         assert tuple((-x) % 3 for x in c) in members
 
@@ -124,10 +123,10 @@ def test_coset_graph_equals_cayley(gamma_s2):
 def test_coset_graph_of_a_rescaled_parity_check():
     # doubling a row of H leaves the code unchanged but changes its signed
     # columns, so the coset graph is the Cayley graph on the new columns
-    rows = parity_check_H().array.tolist()
+    rows = parity_check_H().tolist()
     rows[0] = [(2 * x) % 3 for x in rows[0]]
-    h2 = GF3Matrix(rows)
-    columns = list(map(tuple, h2.array.T.tolist()))
+    h2 = matrix(rows)
+    columns = list(map(tuple, h2.T.tolist()))
     signed = ConnectionSet(columns + [tuple((-x) % 3 for x in c) for c in columns])
     assert coset_graph(code_from_parity_check(h2)) == cayley(signed)
 
@@ -158,7 +157,10 @@ def test_code_enumeration_is_checked_under_optimization(run_optimized):
 
 
 def test_reversal_is_an_involutive_automorphism(gamma_s2):
-    row, ok = involution_row(gamma_s2, reversal_perm())
+    # the registered reversal, the anti-identity matrix, reverses coordinates
+    reversal = involutions_for("gamma-s2")["reversal"]
+    assert np.array_equal(reversal.images, indices_of(all_vectors(5)[:, ::-1]))
+    row, ok = involution_row(gamma_s2, reversal)
     assert ok
     assert row == {
         "is_automorphism": True,
@@ -171,7 +173,7 @@ def test_reversal_is_an_involutive_automorphism(gamma_s2):
 
 def test_reversal_fixed_count_is_3_cubed(gamma_s2):
     # palindromic syndromes (a, b, c, b, a) form a 3-dimensional subspace
-    rho = reversal_perm()
+    rho = involutions_for("gamma-s2")["reversal"]
     assert len(rho.fixed_points()) == 27
 
 
@@ -183,13 +185,13 @@ def test_reversal_difference_shapes_is_empty():
 
 
 def test_code_of_an_invertible_parity_check_is_the_zero_word():
-    code = code_from_parity_check(GF3Matrix([[1, 0], [0, 1]]))
+    code = code_from_parity_check(matrix([[1, 0], [0, 1]]))
     assert code.codewords.tolist() == [[0, 0]]
     assert code.dimension == 0
 
 
 def test_coset_graph_rejects_a_zero_column():
     # a zero column makes a weight-one word a codeword, i.e. a loop
-    code = code_from_parity_check(GF3Matrix([[1, 0, 0], [0, 1, 0]]))
+    code = code_from_parity_check(matrix([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(ValueError):
         coset_graph(code)

@@ -10,7 +10,6 @@ from dezaforge.catalog import (
     c5_reflection,
     connection_set_s1,
     lifted_switching_involution,
-    negation_involution,
     petersen_transposition,
     switching_involution,
 )
